@@ -52,8 +52,9 @@
 //
 // -cpuprofile writes a pprof CPU profile of the sweep for harness
 // optimization work (see the "Profiling the harness" section of the
-// README). -memprofile writes an allocation profile captured at sweep
-// exit (after a final GC), and -trace writes a runtime execution trace —
+// README). -memprofile records every allocation of the sweep
+// (runtime.MemProfileRate = 1) and writes the "allocs" profile at exit,
+// and -trace writes a runtime execution trace —
 // the tool for inspecting the worker pool's scheduling and any residual
 // goroutine churn on the hot path. -digest prints the SHA-256 digest of the deterministic row
 // fields after the tables — two runs with the same seed and figure set
@@ -126,7 +127,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	verbose := flag.Bool("v", false, "print per-run progress")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof allocation profile at sweep exit to this file")
+	memprofile := flag.String("memprofile", "", "record every allocation of the sweep and write the pprof allocs profile to this file")
 	traceOut := flag.String("trace", "", "write a runtime execution trace of the sweep to this file")
 	digest := flag.Bool("digest", false, "print the deterministic row digest after the tables")
 	flag.Parse()
@@ -289,10 +290,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
 			os.Exit(2)
 		}
+		// Record every allocation of the sweep, not one per 512 KiB: the
+		// per-site object counts are then exact, which is what sizing an
+		// allocs-per-commit change needs.
+		runtime.MemProfileRate = 1
 		defer func() {
-			// GC first so the profile shows live retention, not garbage.
+			// The profile only covers allocations up to the last completed
+			// collection.
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
 				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
 			}
 			f.Close()

@@ -1,0 +1,65 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// TestAllocBudgetPerCommit is the allocation gate that fires on any
+// runner: the benchmark's three simulator configurations (8 nodes, default
+// sizing) at reduced windows and a fixed seed, heap allocations inside
+// Cluster.Run divided by committed transactions the way benchmark/sim.go
+// takes allocs_per_commit. The simulation is deterministic, so the counts
+// repeat per seed and a stray allocation on a commit path shows here where
+// the wall-clock floors skip on a one-core runner.
+//
+// The budgets sit between what this PR measured at these windows and the
+// parent's numbers: the hot and warm switch paths allocate nothing per
+// transaction (what remains on p4db is the generator's Txn+Ops and the
+// cold transactions' distributed 2PC); cold distributed 2PC and
+// distributed aborts still allocate, which is noswitch's whole budget.
+func TestAllocBudgetPerCommit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const warmup = sim.Millisecond
+	for _, tc := range []struct {
+		name, engine, workload string
+		durable                bool
+		measure                sim.Time
+		budget                 float64
+	}{
+		{"p4db/ycsb-a", "p4db", "ycsb-a", false, 4 * sim.Millisecond, 8},
+		{"p4db/tpcc/durable", "p4db", "tpcc", true, sim.Millisecond, 40},
+		{"noswitch/ycsb-a", "noswitch", "ycsb-a", false, 12 * sim.Millisecond, 48},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Engine, cfg.Durable, cfg.Nodes, cfg.Seed = tc.engine, tc.durable, 8, 42
+			gen, err := workload.ByName(tc.workload, cfg.Nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := NewCluster(cfg, gen)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			res := c.Run(warmup, tc.measure)
+			runtime.ReadMemStats(&m1)
+
+			commits := res.Counters.Committed()
+			if commits == 0 {
+				t.Fatal("no commits")
+			}
+			// Allocations span warm-up and window, commits only the window.
+			share := float64(tc.measure) / float64(warmup+tc.measure)
+			got := float64(m1.Mallocs-m0.Mallocs) * share / float64(commits)
+			t.Logf("%.2f allocs/commit over %d commits (budget %.0f)", got, commits, tc.budget)
+			if got > tc.budget {
+				t.Errorf("%.2f allocs/commit, budget %.0f", got, tc.budget)
+			}
+		})
+	}
+}

@@ -3,8 +3,13 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/hotset"
+	"repro/internal/layout"
 	"repro/internal/lock"
+	"repro/internal/netsim"
+	"repro/internal/pisa"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -64,5 +69,159 @@ func TestDurableOffWriteCaptureZeroAlloc(t *testing.T) {
 	cycle()
 	if avg := testing.AllocsPerRun(100, cycle); avg == 0 {
 		t.Fatal("Durable-on write path allocated nothing — redo images are not being captured")
+	}
+}
+
+// switchPathFixture is a hand-built two-node P4DB context for the
+// switch-path allocation pins: table 1 holds four hot rows (keys 0..3,
+// resident in a 2-stage x 1-array x 2-slot switch, so two of them share a
+// register array) and one cold row (key 100) homed at node 0.
+type switchPathFixture struct {
+	c        *Context
+	n        *Node
+	together []store.Key // two hot keys in one register array: a two-pass packet
+	apart    []store.Key // two hot keys in different arrays: a one-pass packet
+}
+
+const coldKey = store.Key(100)
+
+func newSwitchPathFixture(t *testing.T) *switchPathFixture {
+	t.Helper()
+	env := sim.NewEnv(1)
+	sch, err := LookupScheme(Scheme2PL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swCfg := pisa.DefaultConfig()
+	swCfg.Stages, swCfg.ArraysPerStage, swCfg.SlotsPerArray = 2, 1, 2
+	c := &Context{
+		Env:       env,
+		Net:       netsim.New(env, 2, netsim.DefaultLatency()),
+		Sw:        pisa.New(env, swCfg),
+		Costs:     DefaultCosts(),
+		Scheme:    sch,
+		Policy:    lock.NoWait,
+		SwitchCfg: swCfg,
+		UseSwitch: true,
+	}
+	for id := netsim.NodeID(0); id < 2; id++ {
+		n := NewNode(id, env, lock.NoWait, sch)
+		n.store.CreateTable(1, "t", 1).Set(coldKey, 0, 0)
+		c.Nodes = append(c.Nodes, n)
+	}
+	var hot []store.GlobalKey
+	for k := store.Key(0); k < 4; k++ {
+		hot = append(hot, store.GlobalField(1, 0, k))
+	}
+	hs := hotset.FromKeys(hot, nil, len(hot))
+	c.Layout = layout.Optimal(hs.Graph(), layout.Spec{Stages: 2, ArraysPerStage: 1, SlotsPerArray: 2})
+	c.HotIdx = hotset.BuildIndex(hs, c.Layout)
+
+	f := &switchPathFixture{c: c, n: c.Nodes[0]}
+	stage := func(k store.Key) uint8 {
+		s, ok := c.Layout.SlotOf(layout.TupleID(store.GlobalField(1, 0, k)))
+		if !ok {
+			t.Fatalf("hot key %d has no slot", k)
+		}
+		return s.Stage
+	}
+	for k := store.Key(1); k < 4; k++ {
+		if stage(k) == stage(0) {
+			f.together = []store.Key{0, k}
+		} else {
+			f.apart = []store.Key{0, k}
+		}
+	}
+	return f
+}
+
+// txn builds a transaction adding 1 to each key of table 1, homed at node 0.
+func (f *switchPathFixture) txn(keys ...store.Key) *workload.Txn {
+	txn := &workload.Txn{}
+	for _, k := range keys {
+		txn.Ops = append(txn.Ops, workload.Op{Table: 1, Key: k, Kind: workload.Add, Value: 1, DependsOn: -1})
+	}
+	return txn
+}
+
+// allocsPerExecute drives the transactions through p4dbEngine.Execute,
+// one at a time to completion, and returns the heap allocations per round
+// after a priming round.
+func (f *switchPathFixture) allocsPerExecute(t *testing.T, want Class, txns ...*workload.Txn) float64 {
+	t.Helper()
+	k := func(cls Class, err error) {
+		if cls != want || err != nil {
+			t.Fatalf("Execute finished with (%v, %v), want class %v", cls, err, want)
+		}
+	}
+	round := func() {
+		for _, txn := range txns {
+			p4dbEngine{}.Execute(f.c, f.n, txn, k)
+			f.c.Env.Run()
+		}
+	}
+	round()
+	return testing.AllocsPerRun(500, round)
+}
+
+// TestExecHotZeroAlloc pins the whole hot-transaction chain — Execute,
+// compile, wire round trip, node-to-switch RPC, switch execution, reply —
+// at zero heap allocations per transaction with Durable off, for a
+// single-pass and a multipass packet.
+func TestExecHotZeroAlloc(t *testing.T) {
+	f := newSwitchPathFixture(t)
+	avg := f.allocsPerExecute(t, ClassHot, f.txn(f.apart...), f.txn(f.together...))
+	if st := f.c.Sw.Stats; st.SinglePass == 0 || st.MultiPass == 0 || st.SinglePass != st.MultiPass {
+		t.Fatalf("fixture did not produce one single-pass and one multipass packet per round: %+v", st)
+	}
+	if avg != 0 {
+		t.Fatalf("hot transactions allocate %.2f objects per pair, want 0", avg)
+	}
+}
+
+// TestExecWarmLocalZeroAlloc pins a single-node warm commit — cold part
+// under 2PL, switch sub-transaction inside the Decision&Switch phase — at
+// zero heap allocations with Durable off. The durable contrast run must
+// allocate: it retains the switch intent, its results and the redo images.
+func TestExecWarmLocalZeroAlloc(t *testing.T) {
+	f := newSwitchPathFixture(t)
+	warm := f.txn(coldKey, f.apart[0], f.apart[1])
+	if avg := f.allocsPerExecute(t, ClassWarm, warm); avg != 0 {
+		t.Fatalf("Durable-off local warm commit allocates %.2f objects/op, want 0", avg)
+	}
+	if got := f.n.store.Table(1).Get(coldKey, 0); got == 0 {
+		t.Fatal("the cold part never applied")
+	}
+
+	f.c.Durable = true
+	if avg := f.allocsPerExecute(t, ClassWarm, warm); avg == 0 {
+		t.Fatal("Durable-on warm commit allocated nothing — intent and redo images are not being retained")
+	}
+	if recs := f.n.log.SwitchRecords(); len(recs) == 0 || !recs[len(recs)-1].HasGID {
+		t.Fatal("Durable-on warm commit left no completed switch record")
+	}
+}
+
+// TestExecWarmDistributedRecyclesAttempt: a warm commit with a remote
+// participant returns its attempt and frame to the free lists once the
+// participant's multicast commit handler has run (it used to leak both),
+// and the remote row lock is gone by then.
+func TestExecWarmDistributedRecyclesAttempt(t *testing.T) {
+	f := newSwitchPathFixture(t)
+	warm := f.txn(coldKey, f.apart[0])
+	warm.Ops[0].Home = 1
+	for i := 1; i <= 3; i++ {
+		p4dbEngine{}.Execute(f.c, f.n, warm, func(cls Class, err error) {
+			if cls != ClassWarm || err != nil {
+				t.Fatalf("Execute finished with (%v, %v)", cls, err)
+			}
+		})
+		f.c.Env.Run()
+		if a, w := len(f.c.freeAttempts), len(f.c.freeWarmFrames); a != 1 || w != 1 {
+			t.Fatalf("after commit %d: %d free attempts, %d free warm frames, want 1 and 1", i, a, w)
+		}
+		if got := f.c.Nodes[1].store.Table(1).Get(coldKey, 0); got != int64(i) {
+			t.Fatalf("after commit %d: remote row = %d", i, got)
+		}
 	}
 }

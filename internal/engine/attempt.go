@@ -62,9 +62,10 @@ func (c *Context) newAttempt() *attempt {
 // releaseAttempt returns an attempt to the free list. Callers may only
 // release when no in-flight closure still references the attempt: fully
 // local outcomes and distributed cold commits qualify (every participant
-// handler has run before the commit continuation fires); distributed
-// aborts and warm commits leak the attempt instead, because their one-way
-// rollback messages or multicast commit handlers may still be travelling.
+// handler has run before the commit continuation fires), and warm commits
+// count their multicast commit handlers down first (warmFrame.settle);
+// distributed aborts leak the attempt instead, because their one-way
+// rollback messages may still be travelling.
 func (c *Context) releaseAttempt(at *attempt) {
 	for id, lt := range at.locks {
 		at.freeLT = append(at.freeLT, lt)
@@ -423,7 +424,7 @@ func (f *coldFrame) opsDone(err error) {
 		return
 	}
 	f.loc = false
-	f.c.coordOf(f.n).CommitDecidedK(f.c.coldParticipants(f.at, remotes), f.decidedFn, f.commitedFn)
+	f.c.coordOf(f.n).CommitDecidedK(f.c.coldParticipants(f.at, remotes, nil), f.decidedFn, f.commitedFn)
 }
 
 // decided runs synchronously at the 2PC decision point, before the
@@ -479,7 +480,7 @@ func (c *Context) commitColdK(n *Node, at *attempt, k func()) {
 		fin()
 		return
 	}
-	c.coordOf(n).CommitDecidedK(c.coldParticipants(at, remotes), func(commit bool) {
+	c.coordOf(n).CommitDecidedK(c.coldParticipants(at, remotes, nil), func(commit bool) {
 		if commit && c.Durable {
 			n.log.AppendCold(at.ts, at.writes)
 			at.writes = nil
@@ -491,8 +492,10 @@ func (c *Context) commitColdK(n *Node, at *attempt, k func()) {
 // remote nodes: prepare appends the participant's log record, commit
 // releases its locks, abort rolls its writes back first. Both the process
 // and continuation prepare forms are provided so either coordinator style
-// can drive the round.
-func (c *Context) coldParticipants(at *attempt, remotes []netsim.NodeID) []twopc.Participant {
+// can drive the round. committed, when non-nil, runs after each commit
+// handler — the warm path counts them down to know when nothing in flight
+// refers to the attempt anymore.
+func (c *Context) coldParticipants(at *attempt, remotes []netsim.NodeID, committed func()) []twopc.Participant {
 	parts := make([]twopc.Participant, 0, len(remotes))
 	for _, id := range remotes {
 		id := id
@@ -508,6 +511,9 @@ func (c *Context) coldParticipants(at *attempt, remotes []netsim.NodeID) []twopc
 			},
 			Commit: func() {
 				rn.locks.ReleaseAll(at.lockTxn(id))
+				if committed != nil {
+					committed()
+				}
 			},
 			Abort: func() {
 				for i := len(at.undo) - 1; i >= 0; i-- {

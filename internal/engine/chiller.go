@@ -58,7 +58,7 @@ func (c *Context) execChillerK(n *Node, txn *workload.Txn, k func(error)) {
 			}
 			remotes := at.remoteNodes(n.id)
 			coord := c.coordOf(n)
-			parts := c.coldParticipants(at, remotes)
+			parts := c.coldParticipants(at, remotes, nil)
 
 			// The inner region runs once the outer prepare round (if any)
 			// voted yes: lock, apply and immediately release the hot

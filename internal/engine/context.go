@@ -186,7 +186,13 @@ type Context struct {
 	freeOpsFrames  []*opsFrame
 	freeColdFrames []*coldFrame
 	freeHotFrames  []*hotFrame
+	freeWarmFrames []*warmFrame
 	freeSubmits    []*submitSM
+
+	// compiler is the one hot-transaction compiler every frame shares:
+	// compilation is synchronous, and switchTxn.compile serializes the
+	// result before the next call can overwrite it.
+	compiler layout.Compiler
 
 	// freeClassAdapters recycles the k(error) -> k(Class, error) bridges
 	// (submit.go) used by engines whose Execute is a straight scheme call.

@@ -336,19 +336,17 @@ func (c *Context) execOptimisticWarmK(n *Node, txn *workload.Txn, newAt func() v
 			coord := c.coordOf(n)
 			parts := c.optimisticParticipants(at, remotes)
 			proceed := func() {
-				pkt, passes := c.compileHot(hotOps, at.txnTS())
+				st := new(switchTxn)
+				st.compileOps(c, hotOps, at.txnTS())
 				c.Env.After(c.Costs.LogAppend, func() {
-					var rec *wal.SwitchRecord
-					if c.Durable {
-						rec = n.log.AppendSwitchIntent(at.txnTS(), pkt.Instrs)
-					}
+					st.intent(c, n)
 					coord.SwitchPhaseK(parts, func(done func()) {
-						c.Sw.ExecK(pkt, func(resp *txnwire.Response, xerr error) {
+						c.Sw.ExecK(&st.pkt, func(resp *txnwire.Response, xerr error) {
 							if xerr != nil {
 								panic(fmt.Sprintf("engine: switch rejected warm optimistic packet: %v", xerr))
 							}
-							if rec != nil {
-								rec.Complete(resp)
+							if st.rec != nil {
+								st.rec.Complete(resp)
 							}
 							done()
 						})
@@ -359,13 +357,7 @@ func (c *Context) execOptimisticWarmK(n *Node, txn *workload.Txn, newAt func() v
 							n.log.AppendCold(at.txnTS(), at.coldWrites())
 							at.install(c, n)
 							c.charge(n, metrics.TxnEngine, t2)
-							if c.measuring {
-								if passes > 1 {
-									n.counters.MultiPass++
-								} else {
-									n.counters.SinglePass++
-								}
-							}
+							st.countPasses(c, n)
 							k(nil)
 						})
 					})

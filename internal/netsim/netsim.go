@@ -59,6 +59,8 @@ type Network struct {
 	coalesce bool
 	nodeB    []*sim.Batcher // one per destination node
 	swB      *sim.Batcher   // the switch control point
+
+	freeSwitchRPCs []*switchRPC // recycled RPCToSwitchK frames
 }
 
 // New creates a network of numNodes nodes attached to one switch.
@@ -383,15 +385,44 @@ func (n *Network) AsyncRPCK(from, to NodeID, handler func(done func()), done fun
 
 // RPCToSwitchK is the continuation form of RPCToSwitch: half the
 // node-to-node one-way cost in each direction, with the switch-side handler
-// completing via done (switch execution itself is a callback chain).
+// completing via done (switch execution itself is a callback chain). The
+// round trip rides a pooled frame, so it allocates nothing at steady state;
+// done must be called exactly once.
 func (n *Network) RPCToSwitchK(from NodeID, handler func(done func()), k func()) {
 	n.check(from)
 	n.MsgsSent += 2
-	s := n.lat.NodeToSwitch
-	env := n.env
-	env.After(s, func() {
-		handler(func() { env.After(s, k) })
-	})
+	var f *switchRPC
+	if l := len(n.freeSwitchRPCs); l > 0 {
+		f = n.freeSwitchRPCs[l-1]
+		n.freeSwitchRPCs = n.freeSwitchRPCs[:l-1]
+	} else {
+		f = &switchRPC{n: n}
+		f.arriveFn, f.replyFn = f.arrive, f.reply
+	}
+	f.handler, f.k = handler, k
+	n.env.After(n.lat.NodeToSwitch, f.arriveFn)
+}
+
+// switchRPC is one in-flight node-to-switch round trip, with its two legs
+// cached as method values.
+type switchRPC struct {
+	n       *Network
+	handler func(done func())
+	k       func()
+
+	arriveFn, replyFn func()
+}
+
+// arrive runs the handler at the switch; its done is the reply leg.
+func (f *switchRPC) arrive() { f.handler(f.replyFn) }
+
+// reply sends the response back and recycles the frame: once the reply leg
+// is scheduled nothing refers to it anymore.
+func (f *switchRPC) reply() {
+	n, k := f.n, f.k
+	f.handler, f.k = nil, nil
+	n.freeSwitchRPCs = append(n.freeSwitchRPCs, f)
+	n.env.After(n.lat.NodeToSwitch, k)
 }
 
 // FanoutK is the continuation form of Fanout: handler(to, done) is

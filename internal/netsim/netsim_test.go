@@ -290,3 +290,47 @@ func TestBatchingPreservesDeliveryOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRPCToSwitchKZeroAlloc pins the node-to-switch round trip at zero heap
+// allocations once its frame pool is primed, with several round trips in
+// flight at once and a handler that completes asynchronously (as switch
+// execution does). The handler and continuation are pre-built for the
+// reason given on TestBatchedDeliverySteadyStateZeroAlloc.
+func TestRPCToSwitchKZeroAlloc(t *testing.T) {
+	e := sim.NewEnv(1)
+	n := New(e, 4, lat())
+	handled, landed := 0, 0
+	var pending [4]func()
+	finish := func() {
+		for i, done := range pending[:handled] {
+			pending[i] = nil
+			done()
+		}
+		handled = 0
+	}
+	handler := func(done func()) {
+		pending[handled] = done
+		if handled++; handled == len(pending) {
+			e.After(100, finish) // all four replies leave after in-switch time
+		}
+	}
+	k := func() { landed++ }
+	cycle := func() {
+		for from := 0; from < len(pending); from++ {
+			n.RPCToSwitchK(NodeID(from), handler, k)
+		}
+		e.Run()
+	}
+	cycle()
+	start, sent := e.Now(), n.MsgsSent
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("RPCToSwitchK allocates %.2f objects per four round trips, want 0", avg)
+	}
+	cycles := int64(landed/len(pending) - 1)
+	if got, want := e.Now()-start, sim.Time(cycles)*(2*lat().NodeToSwitch+100); got != want {
+		t.Fatalf("%d cycles took %v, want %v", cycles, got, want)
+	}
+	if got, want := n.MsgsSent-sent, 2*int64(len(pending))*cycles; got != want {
+		t.Fatalf("MsgsSent grew by %d, want %d", got, want)
+	}
+}

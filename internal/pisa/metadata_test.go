@@ -51,12 +51,11 @@ func TestAddIfOKChainsWithCondAdd(t *testing.T) {
 		t.Fatal("transfer amounts wrong")
 	}
 	// Failing transfer: debit 100 from 60 -> both legs refused.
-	e2 := sim.NewEnv(2)
 	bad := &txnwire.Packet{Instrs: []txnwire.Instr{
 		{Op: txnwire.OpCondAddGE0, Stage: 0, Array: 0, Index: 0, Operand: -100},
 		{Op: txnwire.OpAddIfOK, Stage: 1, Array: 0, Index: 0, Operand: 100},
 	}}
-	resp2 := execOne(t, sw, e2, bad)
+	resp2 := execOne(t, sw, e, bad)
 	if resp2.Results[0].OK || resp2.Results[1].OK {
 		t.Fatalf("failing transfer applied: %+v", resp2.Results)
 	}

@@ -117,6 +117,9 @@ type Switch struct {
 	// injector polls MidPipeline and defers the crash until it drains.
 	midPipeline int
 
+	// freeFrames recycles the per-packet execution frames of ExecK.
+	freeFrames []*execFrame
+
 	// Stats is exported for benchmarks and tests.
 	Stats Stats
 }
@@ -239,49 +242,119 @@ func (sw *Switch) locksFor(instrs []txnwire.Instr) (left, right bool) {
 	return left, right
 }
 
-// admission enforces the line-rate spacing between admitted packets.
-func (sw *Switch) admission(p *sim.Proc) {
-	// Loop: several packets can wake at the same instant; only one claims
-	// the admission slot, the rest re-queue behind the updated horizon.
-	for p.Now() < sw.busyUntil {
-		p.Sleep(sw.busyUntil - p.Now())
-	}
-	sw.busyUntil = p.Now() + sw.cfg.AdmissionGap
-}
-
-// Exec runs one switch transaction to completion on behalf of the calling
-// process. The caller is expected to have already paid the node-to-switch
-// network latency; Exec models only in-switch time (admission spacing,
+// ExecK runs one switch transaction: the admission loop, recirculation
+// waits and pipeline passes run as scheduled callbacks, and k receives the
+// response (or validation error) when the final pass leaves the pipeline.
+// The caller is expected to have already paid the node-to-switch network
+// latency; ExecK models only in-switch time (admission spacing,
 // recirculation queueing, pipeline passes).
 //
-// Exec validates the packet against the switch memory model: instructions
+// ExecK validates the packet against the switch memory model: instructions
 // of one pass must touch distinct register arrays in ascending stage
 // order. Packets violating IsMultipass=false with a multi-pass instruction
 // list are rejected with an error (the node-side classifier must mark them
 // correctly, since the locks field differs between the two cases).
-func (sw *Switch) Exec(p *sim.Proc, pkt *txnwire.Packet) (*txnwire.Response, error) {
-	passes := SplitPasses(pkt.Instrs)
-	multipass := len(passes) > 1
+//
+// Ownership: the switch reads pkt until k is called, so the caller must
+// leave it unchanged until then. The *Response handed to k — and its
+// Results — belong to a pooled frame of the switch and are valid only
+// until k returns; a caller that needs them later copies them out.
+// Steady-state execution allocates nothing.
+func (sw *Switch) ExecK(pkt *txnwire.Packet, k func(*txnwire.Response, error)) {
+	passes := NumPasses(pkt.Instrs)
+	multipass := passes > 1
 	if multipass && !pkt.Header.IsMultipass {
-		return nil, fmt.Errorf("pisa: packet needs %d passes but is not marked multipass", len(passes))
+		k(nil, fmt.Errorf("pisa: packet needs %d passes but is not marked multipass", passes))
+		return
 	}
-	needL, needR := sw.locksFor(pkt.Instrs)
+	f := sw.getFrame()
+	f.pkt, f.k = pkt, k
+	f.multipass = multipass
+	f.needL, f.needR = sw.locksFor(pkt.Instrs)
+	f.recircs = int(pkt.Header.NbRecircs)
+	f.admit()
+}
 
-	recircs := int(pkt.Header.NbRecircs)
-	// Admission loop: single-pass transactions require their lock
-	// instances to be FREE; multi-pass transactions ACQUIRE them
-	// atomically (Listing 1). Either way a failure recirculates the
-	// packet on the waiting port.
-	for {
-		sw.admission(p)
-		if multipass {
-			if sw.lock.TryLock(needL, needR) {
-				break
-			}
-		} else if sw.lock.Free(needL, needR) {
-			break
+// Exec is the process form of ExecK for straight-line tests: it parks the
+// calling process until the response arrives and returns a copy of it.
+func (sw *Switch) Exec(p *sim.Proc, pkt *txnwire.Packet) (*txnwire.Response, error) {
+	var (
+		resp         *txnwire.Response
+		err          error
+		done, parked bool
+	)
+	sw.ExecK(pkt, func(r *txnwire.Response, e error) {
+		if r != nil {
+			c := *r
+			c.Results = append([]txnwire.Result(nil), r.Results...)
+			resp = &c
 		}
-		recircs++
+		err = e
+		if parked {
+			sw.env.Resume(0, p)
+		} else {
+			done = true
+		}
+	})
+	if !done {
+		parked = true
+		p.Park()
+	}
+	return resp, err
+}
+
+// execFrame is the state of one packet inside the switch, from its first
+// admission attempt until its response has been handed over. Frames are
+// free-listed on the Switch with their continuations cached as method
+// values, and each owns the Response (and Results buffer) it reports.
+type execFrame struct {
+	sw           *Switch
+	pkt          *txnwire.Packet
+	k            func(*txnwire.Response, error)
+	multipass    bool
+	needL, needR bool
+	recircs      int
+	next         int // first instruction of the next pass
+	// ctx is the packet metadata carried across stages and recirculations.
+	ctx  pktCtx
+	resp txnwire.Response
+
+	admitFn, passFn, doneFn func()
+}
+
+func (sw *Switch) getFrame() *execFrame {
+	if n := len(sw.freeFrames); n > 0 {
+		f := sw.freeFrames[n-1]
+		sw.freeFrames = sw.freeFrames[:n-1]
+		return f
+	}
+	f := &execFrame{sw: sw}
+	f.admitFn, f.passFn, f.doneFn = f.admit, f.pass, f.done
+	return f
+}
+
+// admit is one admission attempt. Single-pass transactions require their
+// lock instances to be FREE; multi-pass transactions ACQUIRE them
+// atomically (Listing 1). Either way a failure recirculates the packet on
+// the waiting port.
+func (f *execFrame) admit() {
+	sw, env := f.sw, f.sw.env
+	// Admission spacing (the inverse line rate): several packets can wake at
+	// the same instant; only one claims the slot, the rest re-queue behind
+	// the updated horizon, one event per re-queue.
+	if env.Now() < sw.busyUntil {
+		env.After(sw.busyUntil-env.Now(), f.admitFn)
+		return
+	}
+	sw.busyUntil = env.Now() + sw.cfg.AdmissionGap
+	var ok bool
+	if f.multipass {
+		ok = sw.lock.TryLock(f.needL, f.needR)
+	} else {
+		ok = sw.lock.Free(f.needL, f.needR)
+	}
+	if !ok {
+		f.recircs++
 		sw.Stats.Recircs++
 		// The paper's flow control prioritizes long-waiting packets via
 		// nb_recircs so they cannot starve; the model approximates the
@@ -289,154 +362,69 @@ func (sw *Switch) Exec(p *sim.Proc, pkt *txnwire.Packet) (*txnwire.Response, err
 		// recirculated many times. (The wire counter saturates at 255;
 		// the internal count keeps growing.)
 		d := sw.cfg.RecircWait
-		if recircs > 64 {
+		if f.recircs > 64 {
 			d = sw.cfg.RecircWait / 4
 		}
-		p.Sleep(d)
+		env.After(d, f.admitFn)
+		return
 	}
 
-	gid := sw.nextGID
+	f.resp.TxnID = f.pkt.Header.TxnID
+	f.resp.GID = sw.nextGID
 	sw.nextGID++
 	if sw.admitted != nil {
-		sw.admitted[pkt.Header.TxnID] = gid
+		sw.admitted[f.resp.TxnID] = f.resp.GID
 	}
 	sw.Stats.Txns++
-	if multipass {
+	if f.multipass {
 		sw.Stats.MultiPass++
 		sw.midPipeline++
 	} else {
 		sw.Stats.SinglePass++
 	}
-
-	results := make([]txnwire.Result, 0, len(pkt.Instrs))
-	// Packet metadata carried across stages and recirculations: the
-	// accumulator for read-dependent writes and the ok-flag for chained
-	// constrained writes.
-	ctx := newPktCtx()
-	for i, pass := range passes {
-		if i > 0 {
-			d := sw.cfg.RecircWait
-			if sw.cfg.FastRecirc {
-				d = sw.cfg.RecircFast
-			}
-			sw.Stats.HolderPasses++
-			p.Sleep(d)
-		}
-		if multipass && i == len(passes)-1 {
-			// The lock is released when the final pass is admitted
-			// (Figure 7: "Done? -> Unlock"), letting waiting
-			// transactions in behind it; they cannot overtake.
-			sw.lock.Unlock(needL, needR)
-		}
-		for _, in := range pass {
-			results = append(results, sw.apply(in, &ctx))
-		}
-	}
-	if multipass {
-		sw.midPipeline--
-	}
-	p.Sleep(sw.cfg.PipelineLatency)
-
-	return &txnwire.Response{
-		TxnID:   pkt.Header.TxnID,
-		GID:     gid,
-		Recircs: clampU8(recircs),
-		Results: results,
-	}, nil
+	f.resp.Results = f.resp.Results[:0]
+	f.ctx = newPktCtx()
+	f.next = 0
+	f.pass()
 }
 
-// ExecK is the continuation form of Exec: the admission loop, recirculation
-// waits and pipeline passes run as scheduled callbacks instead of process
-// sleeps, and k receives the response (or validation error) when the final
-// pass leaves the pipeline. Every wait maps one-for-one onto a sleep of the
-// process form — same delays, same event-sequence draws — so seeded
-// schedules are identical whichever form executes a packet.
-func (sw *Switch) ExecK(pkt *txnwire.Packet, k func(*txnwire.Response, error)) {
-	passes := SplitPasses(pkt.Instrs)
-	multipass := len(passes) > 1
-	if multipass && !pkt.Header.IsMultipass {
-		k(nil, fmt.Errorf("pisa: packet needs %d passes but is not marked multipass", len(passes)))
+// pass applies one pipeline pass: the instructions from next up to the
+// following pass boundary.
+func (f *execFrame) pass() {
+	sw := f.sw
+	instrs := f.pkt.Instrs
+	end := passEnd(instrs, f.next)
+	final := end == len(instrs)
+	if f.multipass && final {
+		// The lock is released when the final pass is admitted
+		// (Figure 7: "Done? -> Unlock"), letting waiting transactions in
+		// behind it; they cannot overtake.
+		sw.lock.Unlock(f.needL, f.needR)
+		sw.midPipeline--
+	}
+	for _, in := range instrs[f.next:end] {
+		f.resp.Results = append(f.resp.Results, sw.apply(in, &f.ctx))
+	}
+	f.next = end
+	if !final {
+		d := sw.cfg.RecircWait
+		if sw.cfg.FastRecirc {
+			d = sw.cfg.RecircFast
+		}
+		sw.Stats.HolderPasses++
+		sw.env.After(d, f.passFn)
 		return
 	}
-	needL, needR := sw.locksFor(pkt.Instrs)
+	sw.env.After(sw.cfg.PipelineLatency, f.doneFn)
+}
 
-	recircs := int(pkt.Header.NbRecircs)
-	env := sw.env
-	var admit func()
-	admit = func() {
-		// Admission spacing: several packets can wake at the same instant;
-		// only one claims the slot, the rest re-queue behind the updated
-		// horizon (mirrors admission's loop, one event per re-queue).
-		if env.Now() < sw.busyUntil {
-			env.After(sw.busyUntil-env.Now(), admit)
-			return
-		}
-		sw.busyUntil = env.Now() + sw.cfg.AdmissionGap
-		ok := false
-		if multipass {
-			ok = sw.lock.TryLock(needL, needR)
-		} else {
-			ok = sw.lock.Free(needL, needR)
-		}
-		if !ok {
-			recircs++
-			sw.Stats.Recircs++
-			d := sw.cfg.RecircWait
-			if recircs > 64 {
-				d = sw.cfg.RecircWait / 4
-			}
-			env.After(d, admit)
-			return
-		}
-
-		gid := sw.nextGID
-		sw.nextGID++
-		if sw.admitted != nil {
-			sw.admitted[pkt.Header.TxnID] = gid
-		}
-		sw.Stats.Txns++
-		if multipass {
-			sw.Stats.MultiPass++
-			sw.midPipeline++
-		} else {
-			sw.Stats.SinglePass++
-		}
-
-		results := make([]txnwire.Result, 0, len(pkt.Instrs))
-		ctx := newPktCtx()
-		i := 0
-		var pass func()
-		pass = func() {
-			if multipass && i == len(passes)-1 {
-				// Unlock when the final pass is admitted (Figure 7).
-				sw.lock.Unlock(needL, needR)
-				sw.midPipeline--
-			}
-			for _, in := range passes[i] {
-				results = append(results, sw.apply(in, &ctx))
-			}
-			i++
-			if i < len(passes) {
-				d := sw.cfg.RecircWait
-				if sw.cfg.FastRecirc {
-					d = sw.cfg.RecircFast
-				}
-				sw.Stats.HolderPasses++
-				env.After(d, pass)
-				return
-			}
-			env.After(sw.cfg.PipelineLatency, func() {
-				k(&txnwire.Response{
-					TxnID:   pkt.Header.TxnID,
-					GID:     gid,
-					Recircs: clampU8(recircs),
-					Results: results,
-				}, nil)
-			})
-		}
-		pass()
-	}
-	admit()
+// done hands the response over and recycles the frame once k has returned.
+func (f *execFrame) done() {
+	f.resp.Recircs = clampU8(f.recircs)
+	k := f.k
+	k(&f.resp, nil)
+	f.pkt, f.k = nil, nil
+	f.sw.freeFrames = append(f.sw.freeFrames, f)
 }
 
 // pktCtx is the per-packet metadata a transaction carries through the

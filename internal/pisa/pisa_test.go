@@ -83,8 +83,7 @@ func TestConstrainedWrite(t *testing.T) {
 	pkt2 := &txnwire.Packet{Instrs: []txnwire.Instr{
 		{Op: txnwire.OpCondAddGE0, Stage: 0, Array: 0, Index: 0, Operand: -10},
 	}}
-	e2 := sim.NewEnv(2)
-	resp2 := execOne(t, sw, e2, pkt2)
+	resp2 := execOne(t, sw, e, pkt2)
 	if !resp2.Results[0].OK || sw.ReadRegister(0, 0, 0) != 0 {
 		t.Fatalf("allowed constrained write refused")
 	}

@@ -50,6 +50,8 @@ type Coordinator struct {
 	// mcastFree recycles multicast frames so the warm commit path stays
 	// allocation-free at steady state regardless of cluster size.
 	mcastFree []*mcastFrame
+	// switchFree recycles Decision&Switch phase frames the same way.
+	switchFree []*switchFrame
 
 	// Stats is exported for benchmarks.
 	Stats Stats
@@ -336,7 +338,9 @@ func (c *Coordinator) CommitDecidedK(parts []Participant, onDecide func(bool), k
 
 // CommitWithSwitchK is the continuation form of CommitWithSwitch. switchTxn
 // runs "at" the switch and must call its done callback when the in-switch
-// execution completes; k receives the commit outcome.
+// execution completes; k receives the commit outcome. Without remote
+// participants the whole commit rides a pooled frame and allocates nothing
+// at steady state.
 func (c *Coordinator) CommitWithSwitchK(parts []Participant, switchTxn func(done func()), k func(bool)) {
 	remote := remoteParts(parts, c.self)
 	if len(remote) > 0 {
@@ -348,11 +352,11 @@ func (c *Coordinator) CommitWithSwitchK(parts []Participant, switchTxn func(done
 				})
 				return
 			}
-			c.SwitchPhaseK(parts, switchTxn, func() { k(true) })
+			c.switchPhase(parts, switchTxn, k)
 		})
 		return
 	}
-	c.SwitchPhaseK(parts, switchTxn, func() { k(true) })
+	c.switchPhase(parts, switchTxn, k)
 }
 
 // SwitchPhaseK is the continuation form of SwitchPhase: travel to the
@@ -360,17 +364,49 @@ func (c *Coordinator) CommitWithSwitchK(parts []Participant, switchTxn func(done
 // multicast the decision, and run k when the coordinator's own multicast
 // copy arrives.
 func (c *Coordinator) SwitchPhaseK(parts []Participant, switchTxn func(done func()), k func()) {
-	env := c.net.Env()
-	s := c.net.Latency().NodeToSwitch
-	env.After(s, func() {
-		switchTxn(func() {
-			c.multicastCommit(parts)
-			env.After(s, func() {
-				c.Stats.Commits++
-				k()
-			})
-		})
-	})
+	c.switchPhase(parts, switchTxn, func(bool) { k() })
+}
+
+// switchFrame is one in-flight Decision&Switch phase, pooled on the
+// coordinator with its three steps cached as method values.
+type switchFrame struct {
+	c         *Coordinator
+	parts     []Participant
+	switchTxn func(done func())
+	k         func(bool)
+
+	arriveFn, executedFn, landedFn func()
+}
+
+func (c *Coordinator) switchPhase(parts []Participant, switchTxn func(done func()), k func(bool)) {
+	var f *switchFrame
+	if n := len(c.switchFree); n > 0 {
+		f = c.switchFree[n-1]
+		c.switchFree = c.switchFree[:n-1]
+	} else {
+		f = &switchFrame{c: c}
+		f.arriveFn, f.executedFn, f.landedFn = f.arrive, f.executed, f.landed
+	}
+	f.parts, f.switchTxn, f.k = parts, switchTxn, k
+	c.net.Env().After(c.net.Latency().NodeToSwitch, f.arriveFn)
+}
+
+// arrive runs the hot sub-transaction at the switch.
+func (f *switchFrame) arrive() { f.switchTxn(f.executedFn) }
+
+// executed multicasts the decision once the switch has executed; the
+// coordinator's own copy lands one switch-to-node latency later.
+func (f *switchFrame) executed() {
+	f.c.multicastCommit(f.parts)
+	f.c.net.Env().After(f.c.net.Latency().NodeToSwitch, f.landedFn)
+}
+
+func (f *switchFrame) landed() {
+	c, k := f.c, f.k
+	f.parts, f.switchTxn, f.k = nil, nil, nil
+	c.switchFree = append(c.switchFree, f)
+	c.Stats.Commits++
+	k(true)
 }
 
 // PrepareK is the continuation form of Prepare: it runs only the voting

@@ -105,8 +105,7 @@ func TestRecoveryFigure9(t *testing.T) {
 	env.Run()
 
 	// T2 executes x+=3 and receives its result (x=6, GID=1).
-	env2 := sim.NewEnv(2)
-	runSwitchTxns(t, sw, env2, log2, []*txnwire.Packet{
+	runSwitchTxns(t, sw, env, log2, []*txnwire.Packet{
 		{Header: txnwire.Header{TxnID: 2}, Instrs: []txnwire.Instr{addInstr(0, 3)}},
 	})
 	if got := sw.ReadRegister(0, 0, 0); got != 6 {
@@ -147,20 +146,18 @@ func TestRecoveryDependencyOrdersInFlight(t *testing.T) {
 	})
 	env.Run()
 	// GID 1: completed add observing x=5 -> 12.
-	env2 := sim.NewEnv(4)
-	runSwitchTxns(t, sw, env2, logB, []*txnwire.Packet{
+	runSwitchTxns(t, sw, env, logB, []*txnwire.Packet{
 		{Instrs: []txnwire.Instr{addInstr(0, 7)}},
 	})
 	// GID 2: in-flight write x=100 from log A (after B's add).
-	env3 := sim.NewEnv(5)
-	env3.Spawn("a2", func(p *sim.Proc) {
+	env.Spawn("a2", func(p *sim.Proc) {
 		pkt := &txnwire.Packet{Instrs: []txnwire.Instr{{Op: txnwire.OpWrite, Index: 0, Operand: 100}}}
 		logA.AppendSwitchIntent(11, pkt.Instrs)
 		if _, err := sw.Exec(p, pkt); err != nil {
 			t.Errorf("%v", err)
 		}
 	})
-	env3.Run()
+	env.Run()
 
 	want := sw.Snapshot()
 	sw.Reset()
