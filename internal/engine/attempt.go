@@ -21,58 +21,129 @@ type undoRec struct {
 }
 
 // attempt is the state of one execution attempt of one transaction.
-// Attempts are free-listed on the Context: the worker hot path recycles
-// them (together with their lock contexts) instead of allocating, so
-// steady-state cold execution performs no per-attempt heap allocation.
+// Attempts are free-listed on the Context together with everything they
+// own — node slots, lock contexts, the participant list — so steady-state
+// cold execution performs no per-attempt heap allocation, whether the
+// attempt commits or aborts.
 type attempt struct {
+	c      *Context
 	ts     uint64
-	locks  map[netsim.NodeID]*lock.Txn
 	inner  map[netsim.NodeID]*lock.Txn // Chiller's inner-region locks
 	lm     *lock.Txn                   // LM-Switch central locks
 	undo   []undoRec
 	writes []wal.ColdWrite
 	exec   workload.Executor
 
-	// remotes is the reusable buffer behind remoteNodes; it lives on the
-	// attempt so commit-path participant discovery allocates nothing at
-	// steady state.
-	remotes []netsim.NodeID
+	// slots[:used] are the nodes the attempt holds (outer) locks at, in
+	// first-touch order: the order 2PC participants are listed and rollback
+	// messages are sent in, identical on every run of a seed. slots[used:]
+	// are spares kept from earlier incarnations.
+	slots []*nodeSlot
+	used  int
+	// parts is the reusable buffer behind participants.
+	parts []twopc.Participant
 
-	// freeLT recycles lock contexts across incarnations of this attempt.
-	freeLT []*lock.Txn
+	// onCommit, when set, runs after each remote participant's commit
+	// handler: the warm path counts them down to know when nothing in
+	// flight refers to the attempt anymore.
+	onCommit func()
+	// refs counts what still refers to an aborting attempt: abort itself
+	// and every rollback message in flight (see settle).
+	refs int
+}
+
+// nodeSlot is an attempt's footing at one node: its lock context there and
+// the handlers that run "at" that node on the attempt's behalf, cached as
+// method values so that neither a 2PC round nor a rollback message builds
+// a closure. A slot belongs to its attempt for good; its handlers are
+// valid until the attempt is released.
+type nodeSlot struct {
+	at *attempt
+	id netsim.NodeID
+	lt *lock.Txn
+
+	voted func(bool) // the prepare in flight (at most one per slot)
+
+	prepareFn  func(done func(bool))
+	preparedFn func()
+	commitFn   func()
+	abortFn    func()
+	rollbackFn func()
+}
+
+// prepare is the 2PC prepare handler: append the participant's log record,
+// then vote yes (locks are held and constraints checked already).
+func (s *nodeSlot) prepare(done func(bool)) {
+	s.voted = done
+	c := s.at.c
+	c.Env.After(c.Costs.LogAppend, s.preparedFn)
+}
+
+func (s *nodeSlot) prepared() {
+	done := s.voted
+	s.voted = nil
+	done(true)
+}
+
+// commit is the 2PC commit handler: release the participant's locks.
+func (s *nodeSlot) commit() {
+	s.at.c.Nodes[s.id].locks.ReleaseAll(s.lt)
+	if s.at.onCommit != nil {
+		s.at.onCommit()
+	}
+}
+
+// abort is the 2PC abort handler, and the local half of Context.abort:
+// undo the attempt's writes at this node — newest first — then release its
+// locks. Undo logs are short (one entry per write), so filtering the one
+// log by node is cheaper than grouping it.
+func (s *nodeSlot) abort() {
+	n, undo := s.at.c.Nodes[s.id], s.at.undo
+	for i := len(undo) - 1; i >= 0; i-- {
+		if u := undo[i]; u.node == s.id {
+			n.store.Table(u.table).Set(u.key, u.field, u.old)
+		}
+	}
+	n.locks.ReleaseAll(s.lt)
+}
+
+// rollback is abort delivered as a one-way message (see Context.abort).
+func (s *nodeSlot) rollback() {
+	s.abort()
+	s.at.c.settle(s.at)
 }
 
 // newAttempt returns a fresh or recycled attempt stamped with the next
 // cluster-unique timestamp.
 func (c *Context) newAttempt() *attempt {
+	var at *attempt
 	if n := len(c.freeAttempts); n > 0 {
-		at := c.freeAttempts[n-1]
+		at = c.freeAttempts[n-1]
 		c.freeAttempts = c.freeAttempts[:n-1]
-		at.ts = c.issueTS()
-		at.exec = workload.NewExecutor()
-		return at
+	} else {
+		at = &attempt{c: c}
 	}
-	return &attempt{
-		ts:    c.issueTS(),
-		locks: make(map[netsim.NodeID]*lock.Txn, 2),
-		exec:  workload.NewExecutor(),
-	}
+	at.ts = c.issueTS()
+	at.exec = workload.NewExecutor()
+	return at
 }
 
 // releaseAttempt returns an attempt to the free list. Callers may only
-// release when no in-flight closure still references the attempt: fully
-// local outcomes and distributed cold commits qualify (every participant
-// handler has run before the commit continuation fires), and warm commits
-// count their multicast commit handlers down first (warmFrame.settle);
-// distributed aborts leak the attempt instead, because their one-way
-// rollback messages may still be travelling.
+// release when nothing in flight still refers to the attempt or its slots.
+// Fully local outcomes and distributed cold commits qualify at once (every
+// participant handler has run before the commit continuation fires). The
+// others count down first: warm commits their multicast commit handlers
+// (warmFrame.settle), aborts their rollback messages (Context.settle).
 func (c *Context) releaseAttempt(at *attempt) {
-	for id, lt := range at.locks {
-		at.freeLT = append(at.freeLT, lt)
-		delete(at.locks, id)
+	for _, s := range at.slots[:at.used] {
+		if s.lt.NumHeld() != 0 {
+			panic("engine: attempt released while it holds locks")
+		}
 	}
+	at.used = 0
 	at.inner = nil
 	at.lm = nil
+	at.onCommit = nil
 	at.undo = at.undo[:0]
 	// writes may have been handed to the WAL by reference; the committing
 	// path nils it out, the abort path discards uncommitted images here.
@@ -80,21 +151,30 @@ func (c *Context) releaseAttempt(at *attempt) {
 	c.freeAttempts = append(c.freeAttempts, at)
 }
 
-// lockTxn returns (creating on demand) the attempt's lock context at node.
-func (at *attempt) lockTxn(id netsim.NodeID) *lock.Txn {
-	t, ok := at.locks[id]
-	if !ok {
-		if n := len(at.freeLT); n > 0 {
-			t = at.freeLT[n-1]
-			at.freeLT = at.freeLT[:n-1]
-			t.Reset(at.ts)
-		} else {
-			t = lock.NewTxn(at.ts)
+// slot returns (claiming on first touch) the attempt's slot at node id.
+func (at *attempt) slot(id netsim.NodeID) *nodeSlot {
+	for _, s := range at.slots[:at.used] {
+		if s.id == id {
+			return s
 		}
-		at.locks[id] = t
 	}
-	return t
+	var s *nodeSlot
+	if at.used < len(at.slots) {
+		s = at.slots[at.used]
+		s.lt.Reset(at.ts)
+	} else {
+		s = &nodeSlot{at: at, lt: lock.NewTxn(at.ts)}
+		s.prepareFn, s.preparedFn = s.prepare, s.prepared
+		s.commitFn, s.abortFn, s.rollbackFn = s.commit, s.abort, s.rollback
+		at.slots = append(at.slots, s)
+	}
+	s.id = id
+	at.used++
+	return s
 }
+
+// lockTxn returns (creating on demand) the attempt's lock context at node.
+func (at *attempt) lockTxn(id netsim.NodeID) *lock.Txn { return at.slot(id).lt }
 
 // innerTxn returns the Chiller inner-region lock context at node.
 func (at *attempt) innerTxn(id netsim.NodeID) *lock.Txn {
@@ -109,19 +189,19 @@ func (at *attempt) innerTxn(id netsim.NodeID) *lock.Txn {
 	return t
 }
 
-// remoteNodes lists the nodes other than self where the attempt holds
-// (outer) locks — the 2PC participants. The returned slice aliases the
-// attempt's reusable buffer: it is valid until the next remoteNodes call
-// on this attempt, which every caller consumes it before.
-func (at *attempt) remoteNodes(self netsim.NodeID) []netsim.NodeID {
-	out := at.remotes[:0]
-	for id := range at.locks {
-		if id != self {
-			out = append(out, id)
+// participants lists the 2PC participants: the nodes other than self where
+// the attempt holds (outer) locks, in first-touch order, with the slots'
+// handlers. The returned slice aliases the attempt's reusable buffer: it
+// is valid until the next call or the attempt's release.
+func (at *attempt) participants(self netsim.NodeID) []twopc.Participant {
+	parts := at.parts[:0]
+	for _, s := range at.slots[:at.used] {
+		if s.id != self {
+			parts = append(parts, twopc.Participant{Node: s.id, PrepareK: s.prepareFn, Commit: s.commitFn, Abort: s.abortFn})
 		}
 	}
-	at.remotes = out
-	return out
+	at.parts = parts
+	return parts
 }
 
 // applyOp executes one operation against a node's store, capturing undo
@@ -310,45 +390,30 @@ func (f *opsFrame) fail(err error) {
 
 // abort rolls back every write of the attempt and releases all locks.
 // Local state unwinds immediately; remote nodes are notified with one-way
-// messages (their locks stay held for the message latency, as on a real
-// network). When the rollback is fully local the attempt is recycled;
-// otherwise the in-flight messages keep it alive and it is leaked to the
-// garbage collector.
+// messages, in first-touch order (their locks stay held for the message
+// latency, as on a real network). The attempt is recycled when the last of
+// those messages has been delivered — at once when the rollback is local.
 func (c *Context) abort(n *Node, at *attempt) {
-	// Per-node rollback walks the undo log in reverse, filtered by node —
-	// the same per-node application order the old node-keyed grouping gave,
-	// without building a map per abort. Undo logs are short (one entry per
-	// write), so the nodes × undo scan is cheaper than grouping.
-	rollback := func(id netsim.NodeID) {
-		for i := len(at.undo) - 1; i >= 0; i-- {
-			if u := at.undo[i]; u.node == id {
-				c.Nodes[id].store.Table(u.table).Set(u.key, u.field, u.old)
-			}
-		}
-	}
-	remoteRefs := false
-	for id, lt := range at.locks {
-		if id == n.id {
-			rollback(id)
-			n.locks.ReleaseAll(lt)
+	at.refs++ // abort's own, so no early delivery can release under it
+	for _, s := range at.slots[:at.used] {
+		if s.id == n.id {
+			s.abort()
 			continue
 		}
-		remoteRefs = true
-		id, lt := id, lt
-		// The attempt is leaked (never recycled) whenever remote messages
-		// are in flight, so the closure's view of at.undo stays intact
-		// until delivery.
-		c.Net.Send(n.id, id, func() {
-			rollback(id)
-			c.Nodes[id].locks.ReleaseAll(lt)
-		})
+		at.refs++
+		c.Net.Send(n.id, s.id, s.rollbackFn)
 	}
-	if at.lm != nil {
-		remoteRefs = true
-		lm := at.lm
+	if lm := at.lm; lm != nil {
+		// The message carries the lock context itself, not the attempt.
 		c.Net.SendToSwitch(n.id, func() { c.LMLocks.ReleaseAll(lm) })
 	}
-	if !remoteRefs {
+	c.settle(at)
+}
+
+// settle retires one reference to an aborting attempt and recycles it
+// with the last.
+func (c *Context) settle(at *attempt) {
+	if at.refs--; at.refs == 0 {
 		c.releaseAttempt(at)
 	}
 }
@@ -361,7 +426,6 @@ type coldFrame struct {
 	txn *workload.Txn
 	at  *attempt
 	t0  sim.Time
-	loc bool // single-node commit (safe to recycle the attempt)
 	k   func(error)
 
 	startFn    func()
@@ -417,14 +481,12 @@ func (f *coldFrame) opsDone(err error) {
 	// commitColdK inlined: single-node commits log and release locally;
 	// distributed commits run 2PC over the remote participants first.
 	f.t0 = f.c.Env.Now()
-	remotes := f.at.remoteNodes(f.n.id)
-	if len(remotes) == 0 {
-		f.loc = true
+	parts := f.at.participants(f.n.id)
+	if len(parts) == 0 {
 		f.c.Env.After(f.c.Costs.LogAppend, f.logDoneFn)
 		return
 	}
-	f.loc = false
-	f.c.coordOf(f.n).CommitDecidedK(f.c.coldParticipants(f.at, remotes, nil), f.decidedFn, f.commitedFn)
+	f.c.coordOf(f.n).CommitDecidedK(parts, f.decidedFn, f.commitedFn)
 }
 
 // decided runs synchronously at the 2PC decision point, before the
@@ -450,8 +512,8 @@ func (f *coldFrame) logDone() {
 	f.n.locks.ReleaseAll(f.at.lockTxn(f.n.id))
 	f.c.charge(f.n, metrics.TxnEngine, f.t0)
 	// Local commits and distributed cold commits are both safe to recycle:
-	// by the time CommitK's continuation ran, every participant handler
-	// (which references the attempt's lock contexts) has executed.
+	// by the time the coordinator's continuation ran, every participant
+	// handler (the attempt's slots) has executed.
 	f.c.releaseAttempt(f.at)
 	k := f.k
 	f.c.putColdFrame(f)
@@ -475,56 +537,15 @@ func (c *Context) commitColdK(n *Node, at *attempt, k func()) {
 			k()
 		})
 	}
-	remotes := at.remoteNodes(n.id)
-	if len(remotes) == 0 {
+	parts := at.participants(n.id)
+	if len(parts) == 0 {
 		fin()
 		return
 	}
-	c.coordOf(n).CommitDecidedK(c.coldParticipants(at, remotes, nil), func(commit bool) {
+	c.coordOf(n).CommitDecidedK(parts, func(commit bool) {
 		if commit && c.Durable {
 			n.log.AppendCold(at.ts, at.writes)
 			at.writes = nil
 		}
 	}, func(bool) { fin() })
-}
-
-// coldParticipants builds the 2PC participant handlers for the attempt's
-// remote nodes: prepare appends the participant's log record, commit
-// releases its locks, abort rolls its writes back first. Both the process
-// and continuation prepare forms are provided so either coordinator style
-// can drive the round. committed, when non-nil, runs after each commit
-// handler — the warm path counts them down to know when nothing in flight
-// refers to the attempt anymore.
-func (c *Context) coldParticipants(at *attempt, remotes []netsim.NodeID, committed func()) []twopc.Participant {
-	parts := make([]twopc.Participant, 0, len(remotes))
-	for _, id := range remotes {
-		id := id
-		rn := c.Nodes[id]
-		parts = append(parts, twopc.Participant{
-			Node: id,
-			Prepare: func(sp *sim.Proc) bool {
-				sp.Sleep(c.Costs.LogAppend)
-				return true
-			},
-			PrepareK: func(done func(bool)) {
-				c.Env.After(c.Costs.LogAppend, func() { done(true) })
-			},
-			Commit: func() {
-				rn.locks.ReleaseAll(at.lockTxn(id))
-				if committed != nil {
-					committed()
-				}
-			},
-			Abort: func() {
-				for i := len(at.undo) - 1; i >= 0; i-- {
-					u := at.undo[i]
-					if u.node == id {
-						rn.store.Table(u.table).Set(u.key, u.field, u.old)
-					}
-				}
-				rn.locks.ReleaseAll(at.lockTxn(id))
-			},
-		})
-	}
-	return parts
 }

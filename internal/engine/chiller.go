@@ -56,9 +56,8 @@ func (c *Context) execChillerK(n *Node, txn *workload.Txn, k func(error)) {
 				k(err)
 				return
 			}
-			remotes := at.remoteNodes(n.id)
 			coord := c.coordOf(n)
-			parts := c.coldParticipants(at, remotes, nil)
+			parts := at.participants(n.id)
 
 			// The inner region runs once the outer prepare round (if any)
 			// voted yes: lock, apply and immediately release the hot
@@ -86,12 +85,19 @@ func (c *Context) execChillerK(n *Node, txn *workload.Txn, k func(error)) {
 			var innerStep func()
 			failInner := func(lerr error) {
 				c.releaseInner(n, at)
+				// The abort round's handlers are the attempt's slots: hold
+				// it past its rollback messages until they have run.
+				at.refs++
 				c.abort(n, at)
+				fin := func() {
+					c.settle(at)
+					k(lerr)
+				}
 				if len(parts) > 0 {
-					coord.FinishK(parts, false, func() { k(lerr) })
+					coord.FinishK(parts, false, fin)
 					return
 				}
-				k(lerr)
+				fin()
 			}
 			innerStep = func() {
 				if ii >= len(inner) {

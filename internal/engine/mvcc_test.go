@@ -231,7 +231,14 @@ func TestMVCCDistributedWriteConflict(t *testing.T) {
 		}
 		at.sealed(ctx)
 		coord := twopc.NewCoordinator(ctx.Net, local.ID())
-		if coord.Commit(p, ctx.optimisticParticipants(at, at.remoteNodes(local.ID()))) {
+		var committed bool
+		runK(p, func(fin func()) {
+			coord.CommitK(ctx.optimisticParticipants(at, at.remoteNodes(local.ID())), func(ok bool) {
+				committed = ok
+				fin()
+			})
+		})
+		if committed {
 			raced = nil
 		} else {
 			ctx.abortOptimistic(local, at)

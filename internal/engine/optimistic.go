@@ -220,10 +220,6 @@ func (c *Context) optimisticParticipants(at voteFirst, remotes []netsim.NodeID) 
 		rn := c.Nodes[id]
 		parts = append(parts, twopc.Participant{
 			Node: id,
-			Prepare: func(sp *sim.Proc) bool {
-				sp.Sleep(c.Costs.LogAppend)
-				return at.validateAndPin(rn)
-			},
 			PrepareK: func(done func(bool)) {
 				c.Env.After(c.Costs.LogAppend, func() { done(at.validateAndPin(rn)) })
 			},

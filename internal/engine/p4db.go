@@ -169,9 +169,10 @@ func (f *warmFrame) intent() {
 	c := f.c
 	f.sw.intent(c, f.n)
 	f.t0 = c.Env.Now()
-	remotes := f.at.remoteNodes(f.n.id)
-	f.pending = len(remotes) + 1
-	c.coordOf(f.n).CommitWithSwitchK(c.coldParticipants(f.at, remotes, f.settleFn), f.switchBodyFn, f.committedFn)
+	parts := f.at.participants(f.n.id)
+	f.pending = len(parts) + 1
+	f.at.onCommit = f.settleFn
+	c.coordOf(f.n).CommitWithSwitchK(parts, f.switchBodyFn, f.committedFn)
 }
 
 func (f *warmFrame) switchBody(done func()) {

@@ -11,9 +11,10 @@
 package lock
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -74,50 +75,112 @@ var (
 	ErrDie      = fmt.Errorf("%w: WAIT_DIE die", ErrAbort)
 )
 
-// Txn is a transaction's lock context: its age timestamp and the set of
-// keys it holds. Timestamps must be unique across the whole cluster
-// (the paper assigns them at transaction start).
+// heldLock is one key a transaction holds, with its mode.
+type heldLock struct {
+	key  Key
+	mode Mode
+}
+
+// Txn is a transaction's lock context: its age timestamp and the keys it
+// holds, in acquisition order. Timestamps must be unique across the whole
+// cluster (the paper assigns them at transaction start). Lock sets are a
+// handful of keys, so the set is a small slice searched linearly: no map
+// to clear per attempt, and every walk over it is deterministic.
 type Txn struct {
 	TS   uint64
-	held map[Key]Mode
+	held []heldLock
 }
 
 // NewTxn creates a lock context with the given unique timestamp.
 func NewTxn(ts uint64) *Txn {
-	return &Txn{TS: ts, held: make(map[Key]Mode, 8)}
+	return &Txn{TS: ts, held: make([]heldLock, 0, 8)}
 }
 
 // Reset re-arms a lock context for reuse under a new timestamp, keeping the
-// held map's capacity. The engines pool Txn values per worker so that
+// held set's capacity. The engines pool Txn values per worker so that
 // steady-state execution does not allocate a lock context per attempt.
 func (t *Txn) Reset(ts uint64) {
 	t.TS = ts
-	clear(t.held)
+	t.held = t.held[:0]
 }
 
 // Holds reports the mode the transaction holds on key (and whether any).
 func (t *Txn) Holds(key Key) (Mode, bool) {
-	m, ok := t.held[key]
-	return m, ok
+	for _, h := range t.held {
+		if h.key == key {
+			return h.mode, true
+		}
+	}
+	return 0, false
 }
 
 // NumHeld returns the number of locks held.
 func (t *Txn) NumHeld() int { return len(t.held) }
 
+// hold records key in mode m, upgrading in place when already held.
+func (t *Txn) hold(key Key, m Mode) {
+	for i := range t.held {
+		if t.held[i].key == key {
+			t.held[i].mode = m
+			return
+		}
+	}
+	t.held = append(t.held, heldLock{key, m})
+}
+
 // waiter is one queued lock request. Exactly one of sig (process waiter,
-// woken via Signal.Fire) or wake (continuation waiter, scheduled as a
-// same-instant callback) is set; both cost one scheduled event per grant, so
-// the two styles produce identical seeded schedules.
+// woken via Signal.Fire), k (AcquireK's continuation, invoked with nil) or
+// wake (AcquireWaitK's) is set; each costs one scheduled event per grant,
+// so the styles produce identical seeded schedules. Waiters are pooled on
+// the table with wakeFn cached, so a WAIT_DIE wait allocates nothing.
 type waiter struct {
+	tb   *Table
 	txn  *Txn
 	mode Mode
 	sig  *sim.Signal
+	k    func(error)
 	wake func()
+
+	wakeFn func()
+}
+
+// wakeK delivers a granted AcquireK request and recycles the waiter.
+func (w *waiter) wakeK() {
+	k := w.k
+	w.tb.putWaiter(w)
+	k(nil)
+}
+
+// owner is one current holder of an entry.
+type owner struct {
+	txn  *Txn
+	mode Mode
 }
 
 type entry struct {
-	owners  map[*Txn]Mode
+	owners  []owner
 	waiters []*waiter
+}
+
+// setOwner installs txn as an owner in mode m (upgrading in place).
+func (e *entry) setOwner(txn *Txn, m Mode) {
+	for i := range e.owners {
+		if e.owners[i].txn == txn {
+			e.owners[i].mode = m
+			return
+		}
+	}
+	e.owners = append(e.owners, owner{txn, m})
+}
+
+// dropOwner removes txn from the owners, keeping the others in order.
+func (e *entry) dropOwner(txn *Txn) {
+	for i := range e.owners {
+		if e.owners[i].txn == txn {
+			e.owners = slices.Delete(e.owners, i, i+1)
+			return
+		}
+	}
 }
 
 // Stats counts lock-table events.
@@ -134,24 +197,16 @@ type Table struct {
 	policy  Policy
 	entries map[Key]*entry
 
-	// free recycles entry structs (and their owner maps) released when a
-	// key's last lock drops: the serving-mode request path acquires and
-	// releases locks on fresh keys every transaction, and re-allocating
-	// an entry per key would dominate its allocation profile.
+	// free recycles entry structs (with their owner and waiter slices)
+	// released when a key's last lock drops: the serving-mode request path
+	// acquires and releases locks on fresh keys every transaction, and
+	// re-allocating an entry per key would dominate its allocation profile.
 	free []*entry
+	// freeWaiters recycles queued-request records the same way.
+	freeWaiters []*waiter
 
 	// Stats is exported for benchmarks.
 	Stats Stats
-}
-
-// getEntry pops a pooled entry or allocates the first time.
-func (tb *Table) getEntry() *entry {
-	if n := len(tb.free); n > 0 {
-		e := tb.free[n-1]
-		tb.free = tb.free[:n-1]
-		return e
-	}
-	return &entry{owners: make(map[*Txn]Mode, 2)}
 }
 
 // NewTable creates an empty lock table with the given policy.
@@ -162,14 +217,53 @@ func NewTable(env *sim.Env, policy Policy) *Table {
 // Policy returns the table's deadlock-prevention policy.
 func (tb *Table) Policy() Policy { return tb.policy }
 
+// entryFor returns key's entry, installing a pooled or fresh one.
+func (tb *Table) entryFor(key Key) *entry {
+	e := tb.entries[key]
+	if e == nil {
+		if n := len(tb.free); n > 0 {
+			e = tb.free[n-1]
+			tb.free = tb.free[:n-1]
+		} else {
+			e = &entry{}
+		}
+		tb.entries[key] = e
+	}
+	return e
+}
+
+// grant makes txn an owner of key in mode m.
+func (tb *Table) grant(e *entry, txn *Txn, key Key, m Mode) {
+	e.setOwner(txn, m)
+	txn.hold(key, m)
+	tb.Stats.Acquired++
+}
+
+// enqueue appends a pooled waiter for txn to e's FIFO queue.
+func (tb *Table) enqueue(e *entry, txn *Txn, m Mode) *waiter {
+	var w *waiter
+	if n := len(tb.freeWaiters); n > 0 {
+		w = tb.freeWaiters[n-1]
+		tb.freeWaiters = tb.freeWaiters[:n-1]
+	} else {
+		w = &waiter{tb: tb}
+		w.wakeFn = w.wakeK
+	}
+	w.txn, w.mode = txn, m
+	e.waiters = append(e.waiters, w)
+	return w
+}
+
+func (tb *Table) putWaiter(w *waiter) {
+	w.txn, w.sig, w.k, w.wake = nil, nil, nil, nil
+	tb.freeWaiters = append(tb.freeWaiters, w)
+}
+
 // compatible reports whether a request of mode m by txn conflicts with the
 // current owners (ignoring txn's own holding, which is an upgrade).
 func compatible(e *entry, txn *Txn, m Mode) bool {
-	for o, om := range e.owners {
-		if o == txn {
-			continue
-		}
-		if m == Exclusive || om == Exclusive {
+	for _, o := range e.owners {
+		if o.txn != txn && (m == Exclusive || o.mode == Exclusive) {
 			return false
 		}
 	}
@@ -179,17 +273,38 @@ func compatible(e *entry, txn *Txn, m Mode) bool {
 // olderThanAllConflicting reports whether txn's timestamp precedes every
 // conflicting owner's (the WAIT_DIE wait condition).
 func olderThanAllConflicting(e *entry, txn *Txn, m Mode) bool {
-	for o, om := range e.owners {
-		if o == txn {
-			continue
-		}
-		if m == Exclusive || om == Exclusive {
-			if txn.TS >= o.TS {
-				return false
-			}
+	for _, o := range e.owners {
+		if o.txn != txn && (m == Exclusive || o.mode == Exclusive) && txn.TS >= o.txn.TS {
+			return false
 		}
 	}
 	return true
+}
+
+// request decides a NO_WAIT / WAIT_DIE request on the spot. With wait set
+// the caller must queue on e; otherwise err is the outcome (nil: granted or
+// already held).
+func (tb *Table) request(txn *Txn, key Key, m Mode) (e *entry, wait bool, err error) {
+	if held, ok := txn.Holds(key); ok && (held == Exclusive || m == Shared) {
+		return nil, false, nil // already sufficient
+	}
+	e = tb.entryFor(key)
+	if compatible(e, txn, m) {
+		tb.grant(e, txn, key, m)
+		return e, false, nil
+	}
+	tb.Stats.Conflicts++
+	if tb.policy == NoWait {
+		tb.Stats.Aborts++
+		return e, false, ErrConflict
+	}
+	// WAIT_DIE: wait only on younger owners.
+	if !olderThanAllConflicting(e, txn, m) {
+		tb.Stats.Aborts++
+		return e, false, ErrDie
+	}
+	tb.Stats.Waits++
+	return e, true, nil
 }
 
 // Acquire requests key in mode m for txn, blocking the calling process if
@@ -198,38 +313,14 @@ func olderThanAllConflicting(e *entry, txn *Txn, m Mode) bool {
 // abort. Re-acquiring a held lock in the same or weaker mode is a no-op;
 // Shared->Exclusive upgrades follow the same conflict rules.
 func (tb *Table) Acquire(p *sim.Proc, txn *Txn, key Key, m Mode) error {
-	if held, ok := txn.held[key]; ok && (held == Exclusive || m == Shared) {
-		return nil // already sufficient
-	}
-	e := tb.entries[key]
-	if e == nil {
-		e = tb.getEntry()
-		tb.entries[key] = e
-	}
-	if compatible(e, txn, m) {
-		e.owners[txn] = m
-		txn.held[key] = m
-		tb.Stats.Acquired++
-		return nil
-	}
-	tb.Stats.Conflicts++
-	if tb.policy == NoWait {
-		tb.Stats.Aborts++
-		return ErrConflict
-	}
-	// WAIT_DIE: wait only on younger owners.
-	if !olderThanAllConflicting(e, txn, m) {
-		tb.Stats.Aborts++
-		return ErrDie
-	}
-	tb.Stats.Waits++
-	w := &waiter{txn: txn, mode: m, sig: tb.env.NewSignal()}
-	e.waiters = append(e.waiters, w)
-	if err := p.AwaitErr(w.sig); err != nil {
-		tb.Stats.Aborts++
+	e, wait, err := tb.request(txn, key, m)
+	if !wait {
 		return err
 	}
-	// The releaser already installed us as owner before firing.
+	sig := tb.env.NewSignal()
+	tb.enqueue(e, txn, m).sig = sig
+	// The releaser installs us as owner before firing.
+	p.Await(sig)
 	return nil
 }
 
@@ -238,40 +329,37 @@ func (tb *Table) Acquire(p *sim.Proc, txn *Txn, key Key, m Mode) error {
 // decided immediately (grant or abort error), or as a same-instant callback
 // scheduled by the releasing transaction when the request waits. The wake-up
 // event sits exactly where a process waiter's Signal.Fire wake-up would, so
-// seeded schedules are identical across the two forms.
+// seeded schedules are identical across the two forms. Waiting rides a
+// pooled waiter, so neither outcome allocates at steady state.
 func (tb *Table) AcquireK(txn *Txn, key Key, m Mode, k func(error)) {
-	if held, ok := txn.held[key]; ok && (held == Exclusive || m == Shared) {
-		k(nil) // already sufficient
+	e, wait, err := tb.request(txn, key, m)
+	if !wait {
+		k(err)
 		return
 	}
-	e := tb.entries[key]
-	if e == nil {
-		e = tb.getEntry()
-		tb.entries[key] = e
+	tb.enqueue(e, txn, m).k = k // the releaser installs us as owner before waking
+}
+
+// requestWait is request for the always-waiting primitives: FIFO behind
+// the owners and every queued waiter, never an abort.
+func (tb *Table) requestWait(txn *Txn, key Key, m Mode) (e *entry, wait bool) {
+	if held, ok := txn.Holds(key); ok {
+		if held == Exclusive || m == Shared {
+			return nil, false // already sufficient
+		}
+		panic("lock: AcquireWait upgrade would deadlock; request the strongest mode first")
 	}
-	if compatible(e, txn, m) {
-		e.owners[txn] = m
-		txn.held[key] = m
-		tb.Stats.Acquired++
-		k(nil)
-		return
+	e = tb.entryFor(key)
+	// Join the FIFO queue even when compatible with the owners if anyone
+	// is already waiting: overtaking a queued Exclusive request would
+	// starve it and make grant order depend on arrival timing.
+	if len(e.waiters) == 0 && compatible(e, txn, m) {
+		tb.grant(e, txn, key, m)
+		return e, false
 	}
 	tb.Stats.Conflicts++
-	if tb.policy == NoWait {
-		tb.Stats.Aborts++
-		k(ErrConflict)
-		return
-	}
-	// WAIT_DIE: wait only on younger owners.
-	if !olderThanAllConflicting(e, txn, m) {
-		tb.Stats.Aborts++
-		k(ErrDie)
-		return
-	}
 	tb.Stats.Waits++
-	w := &waiter{txn: txn, mode: m}
-	w.wake = func() { k(nil) } // the releaser installs us as owner before waking
-	e.waiters = append(e.waiters, w)
+	return e, true
 }
 
 // AcquireWait requests key in mode m for txn and always waits — FIFO,
@@ -289,32 +377,14 @@ func (tb *Table) AcquireK(txn *Txn, key Key, m Mode, k func(error)) {
 // already held); re-requesting a key in the same or weaker mode stays a
 // no-op for convenience.
 func (tb *Table) AcquireWait(p *sim.Proc, txn *Txn, key Key, m Mode) {
-	if held, ok := txn.held[key]; ok {
-		if held == Exclusive || m == Shared {
-			return // already sufficient
-		}
-		panic("lock: AcquireWait upgrade would deadlock; request the strongest mode first")
-	}
-	e := tb.entries[key]
-	if e == nil {
-		e = tb.getEntry()
-		tb.entries[key] = e
-	}
-	// Join the FIFO queue even when compatible with the owners if anyone
-	// is already waiting: overtaking a queued Exclusive request would
-	// starve it and make grant order depend on arrival timing.
-	if len(e.waiters) == 0 && compatible(e, txn, m) {
-		e.owners[txn] = m
-		txn.held[key] = m
-		tb.Stats.Acquired++
+	e, wait := tb.requestWait(txn, key, m)
+	if !wait {
 		return
 	}
-	tb.Stats.Conflicts++
-	tb.Stats.Waits++
-	w := &waiter{txn: txn, mode: m, sig: tb.env.NewSignal()}
-	e.waiters = append(e.waiters, w)
+	sig := tb.env.NewSignal()
+	tb.enqueue(e, txn, m).sig = sig
 	// The releaser installs us as owner before firing (see grantWaiters).
-	p.Await(w.sig)
+	p.Await(sig)
 }
 
 // AcquireWaitK is the continuation form of AcquireWait: k runs inline on an
@@ -322,61 +392,32 @@ func (tb *Table) AcquireWait(p *sim.Proc, txn *Txn, key Key, m Mode) {
 // the FIFO queue reaches this request. See AcquireWait for the ordered
 // deterministic-locking contract.
 func (tb *Table) AcquireWaitK(txn *Txn, key Key, m Mode, k func()) {
-	if held, ok := txn.held[key]; ok {
-		if held == Exclusive || m == Shared {
-			k() // already sufficient
-			return
-		}
-		panic("lock: AcquireWait upgrade would deadlock; request the strongest mode first")
-	}
-	e := tb.entries[key]
-	if e == nil {
-		e = tb.getEntry()
-		tb.entries[key] = e
-	}
-	// Join the FIFO queue even when compatible with the owners if anyone
-	// is already waiting (see AcquireWait).
-	if len(e.waiters) == 0 && compatible(e, txn, m) {
-		e.owners[txn] = m
-		txn.held[key] = m
-		tb.Stats.Acquired++
+	e, wait := tb.requestWait(txn, key, m)
+	if !wait {
 		k()
 		return
 	}
-	tb.Stats.Conflicts++
-	tb.Stats.Waits++
-	w := &waiter{txn: txn, mode: m, wake: k}
-	e.waiters = append(e.waiters, w)
+	tb.enqueue(e, txn, m).wake = k
 }
 
-// ReleaseAll releases every lock txn holds and grants eligible waiters.
-// It is called at commit and at abort; grants happen at the current
-// virtual time.
+// ReleaseAll releases every lock txn holds, in acquisition order, and
+// grants eligible waiters. It is called at commit and at abort; grants
+// happen at the current virtual time.
 func (tb *Table) ReleaseAll(txn *Txn) {
-	for key := range txn.held {
-		tb.releaseOne(txn, key)
+	for _, h := range txn.held {
+		tb.releaseOne(txn, h.key)
 	}
-	clear(txn.held)
+	txn.held = txn.held[:0]
 }
 
 // ReleaseAllOrdered releases every lock txn holds in ascending key order.
-// Deterministic (Calvin-style) engines use it instead of ReleaseAll:
-// their waiting grants routinely leave queued waiters on several released
-// keys at once, and ReleaseAll's map iteration would wake those waiters
-// in a run-to-run random order, breaking seeded reproducibility. The
-// NO_WAIT/WAIT_DIE paths keep ReleaseAll (waiters on multiple keys of one
-// releasing transaction are rare there, and its pinned golden schedules
-// predate this method).
+// Deterministic (Calvin-style) engines use it instead of ReleaseAll: their
+// waiting grants routinely leave queued waiters on several released keys at
+// once, and the wake order must not depend on the order the locks were
+// taken in.
 func (tb *Table) ReleaseAllOrdered(txn *Txn) {
-	keys := make([]Key, 0, len(txn.held))
-	for key := range txn.held {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
-		tb.releaseOne(txn, key)
-	}
-	clear(txn.held)
+	slices.SortFunc(txn.held, func(a, b heldLock) int { return cmp.Compare(a.key, b.key) })
+	tb.ReleaseAll(txn)
 }
 
 // releaseOne drops txn's hold on key and grants eligible waiters. The
@@ -386,11 +427,10 @@ func (tb *Table) releaseOne(txn *Txn, key Key) {
 	if e == nil {
 		return
 	}
-	delete(e.owners, txn)
+	e.dropOwner(txn)
 	tb.grantWaiters(key, e)
 	if len(e.owners) == 0 && len(e.waiters) == 0 {
 		delete(tb.entries, key)
-		e.waiters = nil // the queue's backing array was consumed head-first
 		tb.free = append(tb.free, e)
 	}
 }
@@ -408,15 +448,20 @@ func (tb *Table) grantWaiters(key Key, e *entry) {
 			// avoids starvation of upgrades.
 			return
 		}
-		e.waiters = e.waiters[1:]
-		e.owners[w.txn] = w.mode
-		w.txn.held[key] = w.mode
-		tb.Stats.Acquired++
-		if w.sig != nil {
+		// Queues are a few waiters deep: shifting down keeps the backing
+		// array for the entry's next incarnation.
+		e.waiters = slices.Delete(e.waiters, 0, 1)
+		tb.grant(e, w.txn, key, w.mode)
+		switch {
+		case w.k != nil:
+			tb.env.After(0, w.wakeFn) // recycles w when it runs
+			continue
+		case w.sig != nil:
 			w.sig.Fire(nil)
-		} else {
+		default:
 			tb.env.After(0, w.wake)
 		}
+		tb.putWaiter(w)
 	}
 }
 
@@ -426,13 +471,11 @@ func (tb *Table) grantWaiters(key Key, e *entry) {
 // last committed value, which legitimately differs from an uncommitted
 // in-place write.
 func (tb *Table) LockedExclusive(key Key) bool {
-	e := tb.entries[key]
-	if e == nil {
-		return false
-	}
-	for _, m := range e.owners {
-		if m == Exclusive {
-			return true
+	if e := tb.entries[key]; e != nil {
+		for _, o := range e.owners {
+			if o.mode == Exclusive {
+				return true
+			}
 		}
 	}
 	return false

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -466,5 +467,90 @@ func TestReleaseAllOrderedGrantsInKeyOrder(t *testing.T) {
 		if woken[i] != want[i] {
 			t.Fatalf("wake order = %v, want %v (ascending keys)", woken, want)
 		}
+	}
+}
+
+// TestAcquireKWaitDieZeroAlloc pins a WAIT_DIE wait — an older requester
+// queues behind a younger owner, the release grants it and wakes it with
+// one same-instant event — at zero heap allocations once the table's entry
+// and waiter pools are primed. The die and immediate-grant outcomes ride
+// along. Continuations are pre-built: a capturing literal in the measured
+// function would itself allocate.
+func TestAcquireKWaitDieZeroAlloc(t *testing.T) {
+	e := sim.NewEnv(1)
+	tb := NewTable(e, WaitDie)
+	young, old, younger := NewTxn(0), NewTxn(0), NewTxn(0)
+	var ts uint64 = 10
+	woken, died := 0, 0
+	granted := func(err error) {
+		if err != nil {
+			t.Fatalf("owner denied: %v", err)
+		}
+	}
+	wake := func(err error) {
+		if err != nil {
+			t.Fatalf("waiter woken with %v", err)
+		}
+		woken++
+	}
+	die := func(err error) {
+		if !errors.Is(err, ErrDie) {
+			t.Fatalf("younger requester got %v, want ErrDie", err)
+		}
+		died++
+	}
+	cycle := func() {
+		ts += 10
+		young.Reset(ts)
+		old.Reset(ts - 5)
+		younger.Reset(ts + 5)
+		tb.AcquireK(young, 7, Exclusive, granted)
+		tb.AcquireK(young, 8, Shared, granted)
+		tb.AcquireK(old, 7, Exclusive, wake) // waits
+		tb.AcquireK(younger, 7, Shared, die) // dies
+		if tb.WaiterCount(7) != 1 {
+			t.Fatalf("%d waiters queued, want 1", tb.WaiterCount(7))
+		}
+		tb.ReleaseAll(young) // grants old, schedules its wake-up
+		e.Run()
+		if m, ok := old.Holds(7); !ok || m != Exclusive {
+			t.Fatal("the waiter was woken without holding the lock")
+		}
+		tb.ReleaseAll(old)
+	}
+	cycle()
+	events := e.Events()
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("a WAIT_DIE wait allocates %.2f objects/op, want 0", avg)
+	}
+	if woken != died || woken < 1000 {
+		t.Fatalf("%d wake-ups, %d dies", woken, died)
+	}
+	if got := e.Events() - events; got != int64(woken-1) {
+		t.Fatalf("%d events for %d grants, want exactly one per waiter", got, woken-1)
+	}
+	if len(tb.entries) != 0 || tb.Stats.Waits != int64(woken) {
+		t.Fatalf("%d entries left, stats %+v", len(tb.entries), tb.Stats)
+	}
+}
+
+// TestReleaseAllGrantsInAcquisitionOrder: ReleaseAll walks the lock set in
+// the order it was acquired, so waiters on several released keys wake in
+// the same order on every run (the set used to be a map).
+func TestReleaseAllGrantsInAcquisitionOrder(t *testing.T) {
+	e := sim.NewEnv(1)
+	tb := NewTable(e, WaitDie)
+	holder := NewTxn(100)
+	keys := []Key{40, 10, 30, 20}
+	var woken []Key
+	for i, k := range keys {
+		k := k
+		tb.AcquireK(holder, k, Exclusive, func(error) {})
+		tb.AcquireK(NewTxn(uint64(i)), k, Exclusive, func(error) { woken = append(woken, k) })
+	}
+	tb.ReleaseAll(holder)
+	e.Run()
+	if !slices.Equal(woken, keys) {
+		t.Fatalf("wake order = %v, want acquisition order %v", woken, keys)
 	}
 }

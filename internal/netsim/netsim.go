@@ -60,7 +60,7 @@ type Network struct {
 	nodeB    []*sim.Batcher // one per destination node
 	swB      *sim.Batcher   // the switch control point
 
-	freeSwitchRPCs []*switchRPC // recycled RPCToSwitchK frames
+	freeRPCs []*rpcFrame // recycled round-trip frames
 }
 
 // New creates a network of numNodes nodes attached to one switch.
@@ -105,119 +105,6 @@ func (n *Network) oneWay(from, to NodeID) sim.Time {
 		return 0
 	}
 	return n.lat.NodeToNode
-}
-
-// RPC performs a synchronous round trip from one node to another: the
-// calling process sleeps the request latency, runs handler (which executes
-// "at" the remote node and may itself block, e.g. on remote locks), then
-// sleeps the response latency. Same-node RPCs skip the fabric entirely.
-//
-// Because the handler runs in the caller's goroutine, the caller is woken
-// twice (arrival and reply). When the handler does not block, RPCEvent
-// delivers the same round trip with one wake-up and the handler as a
-// callback.
-func (n *Network) RPC(p *sim.Proc, from, to NodeID, handler func()) {
-	n.check(from)
-	n.check(to)
-	d := n.oneWay(from, to)
-	if d > 0 {
-		n.MsgsSent += 2
-		p.Sleep(d)
-		handler()
-		p.Sleep(d)
-		return
-	}
-	handler()
-}
-
-// RPCEvent performs a synchronous round trip whose handler is a
-// non-blocking callback: the handler runs at the destination as a
-// scheduler event (no goroutine, no context switch) and the reply resumes
-// the parked caller directly. Virtual timing and event ordering are
-// identical to RPC; the handler must not block. Same-node calls run the
-// handler inline.
-func (n *Network) RPCEvent(p *sim.Proc, from, to NodeID, handler func()) {
-	n.check(from)
-	n.check(to)
-	d := n.oneWay(from, to)
-	if d == 0 {
-		handler()
-		return
-	}
-	n.MsgsSent += 2
-	env := n.env
-	env.After(d, func() {
-		handler()
-		env.Resume(d, p)
-	})
-	p.Park()
-}
-
-// AsyncRPC dispatches handler "at" the destination without blocking the
-// caller: the request travels as a callback event, a process is resumed at
-// the destination only when the request arrives (handlers may block, e.g.
-// on remote locks), and done runs back at the caller's side as a callback
-// when the reply lands. Compared to spawning a courier process that sleeps
-// both legs, this removes two goroutine wake-ups per message. Same-node
-// dispatch skips the fabric: the handler process starts at the current
-// instant and done runs as soon as it finishes.
-func (n *Network) AsyncRPC(name string, from, to NodeID, handler func(sub *sim.Proc), done func()) {
-	n.check(from)
-	n.check(to)
-	d := n.oneWay(from, to)
-	env := n.env
-	if d == 0 {
-		env.Spawn(name, func(sub *sim.Proc) {
-			handler(sub)
-			done()
-		})
-		return
-	}
-	n.MsgsSent += 2
-	env.SpawnAfter(d, name, func(sub *sim.Proc) {
-		handler(sub)
-		env.After(d, done)
-	})
-}
-
-// AsyncRPCEvent is AsyncRPC for non-blocking handlers: both legs and the
-// handler itself are callback events, so a full round trip costs zero
-// goroutine switches. The handler executes at the destination after the
-// one-way latency; done runs at the caller's side one further one-way
-// latency later. Same-node dispatch runs handler and done at the current
-// instant (after already-queued same-instant events).
-func (n *Network) AsyncRPCEvent(from, to NodeID, handler func(), done func()) {
-	n.check(from)
-	n.check(to)
-	d := n.oneWay(from, to)
-	env := n.env
-	if d == 0 {
-		env.After(0, func() {
-			handler()
-			done()
-		})
-		return
-	}
-	n.MsgsSent += 2
-	// The zero-delay egress hop models the packet leaving the local NIC at
-	// the current instant; it also keeps event-sequence draws aligned with
-	// the process-based delivery this replaces, preserving seeded schedules.
-	env.After(0, func() {
-		env.After(d, func() {
-			handler()
-			env.After(d, done)
-		})
-	})
-}
-
-// RPCToSwitch performs a synchronous round trip from a node to the switch:
-// half the node-to-node one-way cost in each direction.
-func (n *Network) RPCToSwitch(p *sim.Proc, from NodeID, handler func()) {
-	n.check(from)
-	n.MsgsSent += 2
-	p.Sleep(n.lat.NodeToSwitch)
-	handler()
-	p.Sleep(n.lat.NodeToSwitch)
 }
 
 // Send delivers a one-way message: fn runs at the destination after the
@@ -294,35 +181,21 @@ func (n *Network) SwitchMulticastTo(nodes []NodeID, fn func(id int)) {
 	}
 }
 
-// Fanout runs handler(i) concurrently "at" each target node and blocks the
-// caller until all have completed, modelling a parallel RPC fan-out such as
-// the 2PC prepare round. Handlers may block (e.g. waiting on locks); the
-// request and reply legs travel as callback events (see AsyncRPC), so each
-// leg costs one handler wake-up instead of three.
-func (n *Network) Fanout(p *sim.Proc, from NodeID, targets []NodeID, handler func(sub *sim.Proc, to NodeID)) {
-	n.check(from)
-	if len(targets) == 0 {
-		return
-	}
-	wg := n.env.NewWaitGroup(len(targets))
-	for _, to := range targets {
-		to := to
-		n.AsyncRPC(fmt.Sprintf("rpc-%d-%d", from, to), from, to,
-			func(sub *sim.Proc) { handler(sub, to) }, wg.Done)
-	}
-	p.Wait(wg)
-}
+// Round trips. Every form rides one pooled rpcFrame, so a round trip
+// allocates nothing at steady state, and schedules the same hops: the
+// request leg After(d), the handler "at" the destination, the reply leg
+// After(d, k). The Async forms never run anything inline at the caller:
+// they start with a zero-delay egress hop (the packet leaving the local NIC
+// at the current instant), which also keeps event-sequence draws where the
+// retired courier processes had them. Same-node calls skip the fabric.
+//
+// A handler that takes a done callback may complete asynchronously (after
+// lock waits, log flushes, switch execution) but must call done exactly
+// once: done sends the reply and recycles the frame, so a second call
+// would complete some later, unrelated round trip.
 
-// Continuation (CPS) forms of the round-trip primitives. Each *K method
-// schedules the exact same sequence of events, at the same points of the
-// run, as the process-based primitive it mirrors, so a flow converted from
-// one style to the other reproduces a seeded schedule bit-for-bit. The
-// handler receives a done callback it must invoke (possibly after further
-// waits) when the remote work completes; k runs back at the caller once the
-// reply has landed.
-
-// RPCK is the continuation form of RPC: handler runs "at" the destination
-// after the request latency and may complete asynchronously via done; k runs
+// RPCK performs a round trip from one node to another: handler runs "at"
+// the destination after the request latency and completes via done; k runs
 // at the caller after the response latency. Same-node calls run handler —
 // and then k — inline.
 func (n *Network) RPCK(from, to NodeID, handler func(done func()), k func()) {
@@ -334,15 +207,12 @@ func (n *Network) RPCK(from, to NodeID, handler func(done func()), k func()) {
 		return
 	}
 	n.MsgsSent += 2
-	env := n.env
-	env.After(d, func() {
-		handler(func() { env.After(d, k) })
-	})
+	f := n.frame(d, handler, nil, k)
+	n.env.After(d, f.arriveFn)
 }
 
-// RPCEventK is the continuation form of RPCEvent: a round trip whose handler
-// is non-blocking, so no done callback is needed. Same-node calls run the
-// handler and k inline.
+// RPCEventK is RPCK for a non-blocking handler, so no done callback is
+// needed. Same-node calls run the handler and k inline.
 func (n *Network) RPCEventK(from, to NodeID, handler func(), k func()) {
 	n.check(from)
 	n.check(to)
@@ -353,91 +223,112 @@ func (n *Network) RPCEventK(from, to NodeID, handler func(), k func()) {
 		return
 	}
 	n.MsgsSent += 2
-	env := n.env
-	env.After(d, func() {
-		handler()
-		env.After(d, k)
-	})
+	f := n.frame(d, nil, handler, k)
+	n.env.After(d, f.arriveFn)
 }
 
-// AsyncRPCK is the continuation form of AsyncRPC: the caller is never
-// blocked, handler runs at the destination after the request latency (it may
-// complete asynchronously via its done argument), and done runs back at the
-// caller one response latency after the handler completes. The zero-delay
-// egress hop on the remote path mirrors SpawnAfter's two-hop scheduling so
-// event-sequence draws line up with the process form.
+// AsyncRPCK dispatches handler "at" the destination without running
+// anything inline: egress hop, request latency, handler (completing via its
+// done argument), then done back at the caller one response latency later.
+// Same-node dispatch runs the handler at the current instant, after
+// already-queued same-instant events, and hands it done directly.
 func (n *Network) AsyncRPCK(from, to NodeID, handler func(done func()), done func()) {
+	n.async(from, to, handler, nil, done)
+}
+
+// AsyncRPCEvent is AsyncRPCK for a non-blocking handler. Same-node
+// dispatch runs handler and done back to back at the current instant.
+func (n *Network) AsyncRPCEvent(from, to NodeID, handler func(), done func()) {
+	n.async(from, to, nil, handler, done)
+}
+
+func (n *Network) async(from, to NodeID, handler func(done func()), plain func(), done func()) {
 	n.check(from)
 	n.check(to)
 	d := n.oneWay(from, to)
-	env := n.env
+	f := n.frame(d, handler, plain, done)
 	if d == 0 {
-		env.After(0, func() { handler(done) })
+		n.env.After(0, f.arriveFn)
 		return
 	}
 	n.MsgsSent += 2
-	env.After(0, func() {
-		env.After(d, func() {
-			handler(func() { env.After(d, done) })
-		})
-	})
+	n.env.After(0, f.egressFn)
 }
 
-// RPCToSwitchK is the continuation form of RPCToSwitch: half the
+// RPCToSwitchK performs a round trip from a node to the switch: half the
 // node-to-node one-way cost in each direction, with the switch-side handler
-// completing via done (switch execution itself is a callback chain). The
-// round trip rides a pooled frame, so it allocates nothing at steady state;
-// done must be called exactly once.
+// completing via done (switch execution itself is a callback chain).
 func (n *Network) RPCToSwitchK(from NodeID, handler func(done func()), k func()) {
 	n.check(from)
 	n.MsgsSent += 2
-	var f *switchRPC
-	if l := len(n.freeSwitchRPCs); l > 0 {
-		f = n.freeSwitchRPCs[l-1]
-		n.freeSwitchRPCs = n.freeSwitchRPCs[:l-1]
-	} else {
-		f = &switchRPC{n: n}
-		f.arriveFn, f.replyFn = f.arrive, f.reply
-	}
-	f.handler, f.k = handler, k
-	n.env.After(n.lat.NodeToSwitch, f.arriveFn)
+	f := n.frame(n.lat.NodeToSwitch, handler, nil, k)
+	n.env.After(f.d, f.arriveFn)
 }
 
-// switchRPC is one in-flight node-to-switch round trip, with its two legs
-// cached as method values.
-type switchRPC struct {
+// rpcFrame is one in-flight round trip: the one-way delay, the handler in
+// whichever form the caller gave it, the caller's continuation, and the
+// three hops cached as method values.
+type rpcFrame struct {
 	n       *Network
+	d       sim.Time
 	handler func(done func())
+	plain   func()
 	k       func()
 
-	arriveFn, replyFn func()
+	egressFn, arriveFn, replyFn func()
 }
 
-// arrive runs the handler at the switch; its done is the reply leg.
-func (f *switchRPC) arrive() { f.handler(f.replyFn) }
-
-// reply sends the response back and recycles the frame: once the reply leg
-// is scheduled nothing refers to it anymore.
-func (f *switchRPC) reply() {
-	n, k := f.n, f.k
-	f.handler, f.k = nil, nil
-	n.freeSwitchRPCs = append(n.freeSwitchRPCs, f)
-	n.env.After(n.lat.NodeToSwitch, k)
+// frame takes a frame off the free list (or builds one) and arms it.
+func (n *Network) frame(d sim.Time, handler func(done func()), plain func(), k func()) *rpcFrame {
+	var f *rpcFrame
+	if l := len(n.freeRPCs); l > 0 {
+		f = n.freeRPCs[l-1]
+		n.freeRPCs = n.freeRPCs[:l-1]
+	} else {
+		f = &rpcFrame{n: n}
+		f.egressFn, f.arriveFn, f.replyFn = f.egress, f.arrive, f.reply
+	}
+	f.d, f.handler, f.plain, f.k = d, handler, plain, k
+	return f
 }
 
-// FanoutK is the continuation form of Fanout: handler(to, done) is
-// dispatched to every target (see AsyncRPCK) and k runs at the caller once
-// every handler's reply has landed. With no targets k runs inline.
-func (n *Network) FanoutK(from NodeID, targets []NodeID, handler func(to NodeID, done func()), k func()) {
-	n.check(from)
-	if len(targets) == 0 {
-		k()
-		return
+// release recycles the frame and returns what its last hop still needs.
+// Nothing refers to a frame once that hop is scheduled.
+func (f *rpcFrame) release() (n *Network, d sim.Time, k func()) {
+	n, d, k = f.n, f.d, f.k
+	f.handler, f.plain, f.k = nil, nil, nil
+	n.freeRPCs = append(n.freeRPCs, f)
+	return n, d, k
+}
+
+// egress is the packet leaving the caller's NIC.
+func (f *rpcFrame) egress() { f.n.env.After(f.d, f.arriveFn) }
+
+// arrive runs the handler at the destination. A plain handler is followed
+// by the reply leg at once; a completing one is handed the reply leg as
+// its done (or, on a same-node dispatch, the caller's continuation itself).
+func (f *rpcFrame) arrive() {
+	switch {
+	case f.plain != nil:
+		plain := f.plain
+		n, d, k := f.release()
+		plain()
+		if d == 0 {
+			k()
+		} else {
+			n.env.After(d, k)
+		}
+	case f.d == 0:
+		handler := f.handler
+		_, _, k := f.release()
+		handler(k)
+	default:
+		f.handler(f.replyFn)
 	}
-	wg := n.env.NewWaitGroup(len(targets))
-	for _, to := range targets {
-		to := to
-		n.AsyncRPCK(from, to, func(done func()) { handler(to, done) }, wg.Done)
-	}
-	wg.Subscribe(k)
+}
+
+// reply is a completing handler's done: it sends the response back.
+func (f *rpcFrame) reply() {
+	n, d, k := f.release()
+	n.env.After(d, k)
 }

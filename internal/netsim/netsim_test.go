@@ -13,12 +13,11 @@ func lat() Latency {
 func TestRPCCostsFullRoundTrip(t *testing.T) {
 	e := sim.NewEnv(1)
 	n := New(e, 4, lat())
-	var done sim.Time
-	var handlerAt sim.Time
-	e.Spawn("caller", func(p *sim.Proc) {
-		n.RPC(p, 0, 1, func() { handlerAt = p.Now() })
-		done = p.Now()
-	})
+	var done, handlerAt sim.Time
+	n.RPCK(0, 1, func(reply func()) {
+		handlerAt = e.Now()
+		reply()
+	}, func() { done = e.Now() })
 	e.Run()
 	if handlerAt != 2*sim.Microsecond {
 		t.Fatalf("handler ran at %v, want 2µs (one-way)", handlerAt)
@@ -32,10 +31,7 @@ func TestRPCToSwitchIsHalfRTT(t *testing.T) {
 	e := sim.NewEnv(1)
 	n := New(e, 4, lat())
 	var done sim.Time
-	e.Spawn("caller", func(p *sim.Proc) {
-		n.RPCToSwitch(p, 0, func() {})
-		done = p.Now()
-	})
+	n.RPCToSwitchK(0, func(reply func()) { reply() }, func() { done = e.Now() })
 	e.Run()
 	if done != 2*sim.Microsecond {
 		t.Fatalf("switch RPC = %v, want 2µs = half of node RTT", done)
@@ -45,15 +41,14 @@ func TestRPCToSwitchIsHalfRTT(t *testing.T) {
 func TestLocalRPCIsFree(t *testing.T) {
 	e := sim.NewEnv(1)
 	n := New(e, 4, lat())
-	var done sim.Time
-	ran := false
-	e.Spawn("caller", func(p *sim.Proc) {
-		n.RPC(p, 2, 2, func() { ran = true })
-		done = p.Now()
-	})
-	e.Run()
-	if !ran || done != 0 {
-		t.Fatalf("local RPC ran=%v at %v, want free", ran, done)
+	ran, finished := false, false
+	n.RPCK(2, 2, func(reply func()) {
+		ran = true
+		reply()
+	}, func() { finished = true })
+	// Same-node calls complete inline, before any event runs.
+	if !ran || !finished || n.MsgsSent != 0 {
+		t.Fatalf("local RPC ran=%v finished=%v msgs=%d, want inline and free", ran, finished, n.MsgsSent)
 	}
 }
 
@@ -84,34 +79,44 @@ func TestSwitchMulticastReachesAllNodesSimultaneously(t *testing.T) {
 	}
 }
 
-func TestFanoutIsParallel(t *testing.T) {
+func TestAsyncRPCsRunInParallel(t *testing.T) {
 	e := sim.NewEnv(1)
 	n := New(e, 4, lat())
-	var done sim.Time
-	e.Spawn("coord", func(p *sim.Proc) {
-		n.Fanout(p, 0, []NodeID{1, 2, 3}, func(sub *sim.Proc, to NodeID) {
-			sub.Sleep(5 * sim.Microsecond) // remote work
-		})
-		done = p.Now()
-	})
+	var landed []sim.Time
+	for to := NodeID(1); to <= 3; to++ {
+		n.AsyncRPCK(0, to, func(reply func()) {
+			e.After(5*sim.Microsecond, reply) // remote work
+		}, func() { landed = append(landed, e.Now()) })
+	}
+	if len(landed) != 0 {
+		t.Fatal("an async round trip completed inline")
+	}
 	e.Run()
-	// Parallel: 2µs out + 5µs work + 2µs back = 9µs, NOT 3*9.
-	if done != 9*sim.Microsecond {
-		t.Fatalf("fanout took %v, want 9µs (parallel)", done)
+	// Parallel: 2µs out + 5µs work + 2µs back = 9µs each, NOT 3*9.
+	if len(landed) != 3 || landed[0] != 9*sim.Microsecond || landed[2] != 9*sim.Microsecond {
+		t.Fatalf("replies landed at %v, want three at 9µs", landed)
 	}
 }
 
-func TestFanoutEmptyTargets(t *testing.T) {
+func TestAsyncRPCSameNodeSkipsFabric(t *testing.T) {
 	e := sim.NewEnv(1)
 	n := New(e, 2, lat())
-	ok := false
-	e.Spawn("coord", func(p *sim.Proc) {
-		n.Fanout(p, 0, nil, func(sub *sim.Proc, to NodeID) { t.Error("handler on empty fanout") })
-		ok = true
-	})
+	var order []string
+	n.AsyncRPCK(1, 1, func(reply func()) {
+		order = append(order, "handler")
+		reply()
+	}, func() { order = append(order, "done") })
+	n.AsyncRPCEvent(1, 1, func() { order = append(order, "plain") }, func() { order = append(order, "done2") })
+	order = append(order, "caller")
 	e.Run()
-	if !ok {
-		t.Fatal("fanout with no targets never returned")
+	want := []string{"caller", "handler", "done", "plain", "done2"}
+	if len(order) != len(want) || e.Now() != 0 || n.MsgsSent != 0 {
+		t.Fatalf("order=%v now=%v msgs=%d", order, e.Now(), n.MsgsSent)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
 	}
 }
 
@@ -136,15 +141,18 @@ func TestHalfRTTInvariant(t *testing.T) {
 func TestMsgsSentAccounting(t *testing.T) {
 	e := sim.NewEnv(1)
 	n := New(e, 3, lat())
-	e.Spawn("p", func(p *sim.Proc) {
-		n.RPC(p, 0, 1, func() {})          // 2 msgs
-		n.RPCToSwitch(p, 0, func() {})     // 2 msgs
-		n.Send(0, 1, func() {})            // 1 msg
-		n.SwitchMulticast(func(NodeID) {}) // 3 msgs
-	})
+	reply := func(done func()) { done() }
+	noop := func() {}
+	n.RPCK(0, 1, reply, noop)          // 2 msgs
+	n.RPCToSwitchK(0, reply, noop)     // 2 msgs
+	n.Send(0, 1, noop)                 // 1 msg
+	n.SwitchMulticast(func(NodeID) {}) // 3 msgs
+	n.AsyncRPCK(1, 2, reply, noop)     // 2 msgs
+	n.AsyncRPCEvent(2, 0, noop, noop)  // 2 msgs
+	n.RPCEventK(2, 1, noop, noop)      // 2 msgs
 	e.Run()
-	if n.MsgsSent != 8 {
-		t.Fatalf("MsgsSent = %d, want 8", n.MsgsSent)
+	if n.MsgsSent != 14 {
+		t.Fatalf("MsgsSent = %d, want 14", n.MsgsSent)
 	}
 }
 
@@ -291,12 +299,14 @@ func TestBatchingPreservesDeliveryOrder(t *testing.T) {
 	}
 }
 
-// TestRPCToSwitchKZeroAlloc pins the node-to-switch round trip at zero heap
-// allocations once its frame pool is primed, with several round trips in
-// flight at once and a handler that completes asynchronously (as switch
-// execution does). The handler and continuation are pre-built for the
-// reason given on TestBatchedDeliverySteadyStateZeroAlloc.
-func TestRPCToSwitchKZeroAlloc(t *testing.T) {
+// pinRoundTrips pins one round-trip form at zero heap allocations once the
+// frame pool is primed, with four round trips in flight at once and a
+// handler that completes asynchronously (as lock waits, log flushes and
+// switch execution do). oneWay is the form's latency per leg. The handler
+// and continuation are pre-built for the reason given on
+// TestBatchedDeliverySteadyStateZeroAlloc.
+func pinRoundTrips(t *testing.T, oneWay sim.Time, issue func(n *Network, from NodeID, handler func(done func()), k func())) {
+	t.Helper()
 	e := sim.NewEnv(1)
 	n := New(e, 4, lat())
 	handled, landed := 0, 0
@@ -311,26 +321,202 @@ func TestRPCToSwitchKZeroAlloc(t *testing.T) {
 	handler := func(done func()) {
 		pending[handled] = done
 		if handled++; handled == len(pending) {
-			e.After(100, finish) // all four replies leave after in-switch time
+			e.After(100, finish) // all four replies leave after the remote work
 		}
 	}
 	k := func() { landed++ }
 	cycle := func() {
 		for from := 0; from < len(pending); from++ {
-			n.RPCToSwitchK(NodeID(from), handler, k)
+			issue(n, NodeID(from), handler, k)
 		}
 		e.Run()
 	}
 	cycle()
 	start, sent := e.Now(), n.MsgsSent
 	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
-		t.Fatalf("RPCToSwitchK allocates %.2f objects per four round trips, want 0", avg)
+		t.Fatalf("four round trips allocate %.2f objects, want 0", avg)
 	}
 	cycles := int64(landed/len(pending) - 1)
-	if got, want := e.Now()-start, sim.Time(cycles)*(2*lat().NodeToSwitch+100); got != want {
+	if got, want := e.Now()-start, sim.Time(cycles)*(2*oneWay+100); got != want {
 		t.Fatalf("%d cycles took %v, want %v", cycles, got, want)
 	}
 	if got, want := n.MsgsSent-sent, 2*int64(len(pending))*cycles; got != want {
 		t.Fatalf("MsgsSent grew by %d, want %d", got, want)
+	}
+	if got := len(n.freeRPCs); got != len(pending) {
+		t.Fatalf("%d frames on the free list, want %d", got, len(pending))
+	}
+}
+
+func TestRPCKZeroAlloc(t *testing.T) {
+	pinRoundTrips(t, lat().NodeToNode, func(n *Network, from NodeID, handler func(done func()), k func()) {
+		n.RPCK(from, (from+1)%4, handler, k)
+	})
+}
+
+func TestAsyncRPCKZeroAlloc(t *testing.T) {
+	pinRoundTrips(t, lat().NodeToNode, func(n *Network, from NodeID, handler func(done func()), k func()) {
+		n.AsyncRPCK(from, (from+1)%4, handler, k)
+	})
+}
+
+func TestRPCToSwitchKZeroAlloc(t *testing.T) {
+	pinRoundTrips(t, lat().NodeToSwitch, func(n *Network, from NodeID, handler func(done func()), k func()) {
+		n.RPCToSwitchK(from, handler, k)
+	})
+}
+
+// TestAsyncRPCEventZeroAlloc pins the plain-handler round trips — the
+// shape of a 2PC decision round — remote and same-node, at zero heap
+// allocations.
+func TestAsyncRPCEventZeroAlloc(t *testing.T) {
+	e := sim.NewEnv(1)
+	n := New(e, 4, lat())
+	handled, landed := 0, 0
+	handler := func() { handled++ }
+	k := func() { landed++ }
+	cycle := func() {
+		n.AsyncRPCEvent(0, 1, handler, k)
+		n.AsyncRPCEvent(0, 2, handler, k)
+		n.AsyncRPCEvent(0, 0, handler, k)
+		n.RPCEventK(3, 1, handler, k)
+		e.Run()
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("plain-handler round trips allocate %.2f objects per cycle, want 0", avg)
+	}
+	if handled != landed || handled%4 != 0 {
+		t.Fatalf("%d handlers ran, %d replies landed", handled, landed)
+	}
+}
+
+// The closure-built round trips the pooled frame replaced, kept as the
+// reference the pooled forms must be indistinguishable from: same hops,
+// same delays, same order of After calls.
+
+func refRPCK(e *sim.Env, d sim.Time, handler func(done func()), k func()) {
+	e.After(d, func() {
+		handler(func() { e.After(d, k) })
+	})
+}
+
+func refRPCEventK(e *sim.Env, d sim.Time, handler func(), k func()) {
+	e.After(d, func() {
+		handler()
+		e.After(d, k)
+	})
+}
+
+func refAsyncRPCK(e *sim.Env, d sim.Time, handler func(done func()), done func()) {
+	if d == 0 {
+		e.After(0, func() { handler(done) })
+		return
+	}
+	e.After(0, func() {
+		e.After(d, func() {
+			handler(func() { e.After(d, done) })
+		})
+	})
+}
+
+func refAsyncRPCEvent(e *sim.Env, d sim.Time, handler func(), done func()) {
+	if d == 0 {
+		e.After(0, func() {
+			handler()
+			done()
+		})
+		return
+	}
+	e.After(0, func() {
+		e.After(d, func() {
+			handler()
+			e.After(d, done)
+		})
+	})
+}
+
+// TestPooledRoundTripsMatchClosureReference keeps 64 round trips of every
+// form in flight at once, issued 300 ns apart with remote work of 0 to
+// 5 µs, so frames are recycled and re-armed while their siblings are
+// mid-flight. The order and the instants at which handlers run and replies
+// land must equal the closure-built reference's: a frame recycled early
+// would deliver some call's reply to another call's continuation.
+func TestPooledRoundTripsMatchClosureReference(t *testing.T) {
+	type step struct {
+		call int
+		what string
+		at   sim.Time
+	}
+	run := func(pooled bool) ([]step, int64) {
+		e := sim.NewEnv(5)
+		n := New(e, 4, lat())
+		rng := sim.NewRNG(11)
+		var trace []step
+		for call := 0; call < 64; call++ {
+			call := call
+			from, to := NodeID(rng.Intn(4)), NodeID(rng.Intn(4))
+			work := sim.Time(rng.Intn(6)) * sim.Microsecond
+			form := rng.Intn(5)
+			d := n.oneWay(from, to)
+			if form == 4 {
+				d = lat().NodeToSwitch
+			}
+			mark := func(what string) { trace = append(trace, step{call, what, e.Now()}) }
+			handler := func(done func()) {
+				mark("handler")
+				e.After(work, done) // work 0 still takes a scheduled event
+			}
+			plain := func() { mark("handler") }
+			k := func() { mark("reply") }
+			e.After(sim.Time(call)*300, func() {
+				mark("issue")
+				switch {
+				case form == 0 && pooled:
+					n.RPCK(from, to, handler, k)
+				case form == 0 && d == 0:
+					handler(k)
+				case form == 0:
+					refRPCK(e, d, handler, k)
+				case form == 1 && pooled:
+					n.RPCEventK(from, to, plain, k)
+				case form == 1 && d == 0:
+					plain()
+					k()
+				case form == 1:
+					refRPCEventK(e, d, plain, k)
+				case form == 2 && pooled:
+					n.AsyncRPCK(from, to, handler, k)
+				case form == 2:
+					refAsyncRPCK(e, d, handler, k)
+				case form == 3 && pooled:
+					n.AsyncRPCEvent(from, to, plain, k)
+				case form == 3:
+					refAsyncRPCEvent(e, d, plain, k)
+				case pooled:
+					n.RPCToSwitchK(from, handler, k)
+				default:
+					refRPCK(e, d, handler, k)
+				}
+			})
+		}
+		e.Run()
+		if pooled && len(n.freeRPCs) >= 64 {
+			t.Fatalf("%d frames built for 64 staggered calls: none was reused mid-run", len(n.freeRPCs))
+		}
+		return trace, e.Events()
+	}
+	got, gotEvents := run(true)
+	want, wantEvents := run(false)
+	if len(got) != len(want) || len(got) != 3*64 {
+		t.Fatalf("pooled run traced %d steps, reference %d, want %d", len(got), len(want), 3*64)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("step %d: pooled %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	if gotEvents != wantEvents {
+		t.Fatalf("pooled run executed %d events, reference %d", gotEvents, wantEvents)
 	}
 }

@@ -6,28 +6,23 @@
 // data plane — saving the dedicated decision round trip of classic 2PC.
 package twopc
 
-import (
-	"repro/internal/netsim"
-	"repro/internal/sim"
-)
+import "repro/internal/netsim"
 
 // Participant is one node's involvement in a distributed transaction. The
-// handlers run "at" the participant on the simulated timeline. Prepare may
-// block (e.g. while flushing a log record) and therefore runs in a
-// process; Commit and Abort apply already-validated state (release locks,
-// install buffered writes) and run as callback events — they must not
-// block, which lets the decision round and the switch multicast deliver
-// them without any goroutine switches.
+// handlers run "at" the participant on the simulated timeline, as callback
+// events. PrepareK may complete later (e.g. after flushing a log record);
+// Commit and Abort apply already-validated state (release locks, install
+// buffered writes) and must not wait, which lets the decision round and
+// the switch multicast deliver them as plain events.
+//
+// The coordinator keeps the []Participant it is handed until the call's
+// continuation runs, and never writes to it: callers may reuse one slice
+// across transactions and share it between rounds in flight.
 type Participant struct {
 	Node netsim.NodeID
-	// Prepare validates and persists the participant's sub-transaction;
-	// it returns the participant's vote. It may block.
-	Prepare func(p *sim.Proc) bool
-	// PrepareK is the continuation form of Prepare: it must eventually call
-	// done with the vote (possibly after scheduled waits such as a log
-	// flush). The coordinator's continuation-form methods use PrepareK; the
-	// process-form methods use Prepare. Builders set both so either driver
-	// works.
+	// PrepareK validates and persists the participant's sub-transaction;
+	// it must call done exactly once with the participant's vote (possibly
+	// after scheduled waits such as a log flush).
 	PrepareK func(done func(bool))
 	// Commit applies and releases the sub-transaction. It must not block.
 	Commit func()
@@ -52,6 +47,10 @@ type Coordinator struct {
 	mcastFree []*mcastFrame
 	// switchFree recycles Decision&Switch phase frames the same way.
 	switchFree []*switchFrame
+	// roundFree and legFree recycle voting/decision rounds and their
+	// per-participant vote adapters.
+	roundFree []*round
+	legFree   []*voteLeg
 
 	// Stats is exported for benchmarks.
 	Stats Stats
@@ -152,165 +151,12 @@ func NewCoordinator(net *netsim.Network, self netsim.NodeID) *Coordinator {
 	return &Coordinator{net: net, self: self}
 }
 
-// Commit runs classic 2PC over the participants: a parallel prepare round
-// collecting votes, then a parallel commit (or abort) round. It returns
+// CommitK runs classic 2PC over the participants: a parallel prepare round
+// collecting votes, then a parallel commit (or abort) round; k receives
 // whether the transaction committed. A participant co-located with the
 // coordinator is handled without network hops by netsim.
-func (c *Coordinator) Commit(p *sim.Proc, parts []Participant) bool {
-	votes := c.vote(p, parts)
-	if votes {
-		c.finish(p, parts, true)
-		c.Stats.Commits++
-		return true
-	}
-	c.finish(p, parts, false)
-	c.Stats.Aborts++
-	return false
-}
-
-// CommitWithSwitch runs the combined Decision&Switch phase for warm
-// transactions. After all participants vote yes, the coordinator sends the
-// switch sub-transaction (half an RTT away); switchTxn executes it at the
-// switch and returns an opaque result. The switch then multicasts the
-// decision: every participant's Commit handler runs when the multicast
-// arrives, without further round trips, and the coordinator resumes at the
-// same instant (it is one of the multicast targets). On a no vote the
-// switch transaction is never sent and a classic abort round runs instead.
-//
-// When the warm transaction has no remote participants, the voting phase
-// is skipped entirely (Section 6.2).
-func (c *Coordinator) CommitWithSwitch(p *sim.Proc, parts []Participant, switchTxn func(sub *sim.Proc)) bool {
-	remote := remoteParts(parts, c.self)
-	if len(remote) > 0 {
-		if !c.voteSubset(p, remote) {
-			c.finish(p, parts, false)
-			c.Stats.Aborts++
-			return false
-		}
-	}
-	c.SwitchPhase(p, parts, switchTxn)
-	return true
-}
-
-// SwitchPhase is the post-vote half of the combined protocol: travel to
-// the switch, execute the hot sub-transaction, and multicast the commit
-// decision to all participants. Callers that need work between the vote
-// and the send (e.g. appending the switch intent to the WAL only once the
-// outcome is decided) run Prepare themselves and then call SwitchPhase.
-func (c *Coordinator) SwitchPhase(p *sim.Proc, parts []Participant, switchTxn func(sub *sim.Proc)) {
-	// Travel to the switch and execute the hot sub-transaction there.
-	p.Sleep(c.net.Latency().NodeToSwitch)
-	switchTxn(p)
-	// The switch multicasts results + decision to the participant nodes;
-	// commit handlers run on arrival. The coordinator's own copy arrives
-	// after the same switch-to-node latency, at which point all
-	// (same-distance) participants have committed as well.
-	c.multicastCommit(parts)
-	p.Sleep(c.net.Latency().NodeToSwitch)
-	c.Stats.Commits++
-}
-
-// Prepare runs only the voting round and reports whether every
-// participant voted yes. Callers that interleave extra work between
-// voting and the decision (e.g. Chiller's inner region) use this together
-// with Finish.
-func (c *Coordinator) Prepare(p *sim.Proc, parts []Participant) bool {
-	return c.vote(p, parts)
-}
-
-// Finish runs only the decision round, committing or aborting every
-// participant.
-func (c *Coordinator) Finish(p *sim.Proc, parts []Participant, commit bool) {
-	c.finish(p, parts, commit)
-	if commit {
-		c.Stats.Commits++
-	} else {
-		c.Stats.Aborts++
-	}
-}
-
-// vote runs the prepare round over all participants in parallel.
-func (c *Coordinator) vote(p *sim.Proc, parts []Participant) bool {
-	ok := true
-	c.fanout(p, parts, func(sub *sim.Proc, part Participant) {
-		if !part.Prepare(sub) {
-			ok = false
-		}
-	})
-	return ok
-}
-
-// voteSubset is vote over a subset (used by the warm-transaction path).
-func (c *Coordinator) voteSubset(p *sim.Proc, parts []Participant) bool {
-	return c.vote(p, parts)
-}
-
-// finish runs the decision round (commit or abort) over all participants.
-// Commit/Abort handlers are non-blocking by contract, so the whole round
-// travels as callback events: the only goroutine wake-up is the
-// coordinator resuming when the last acknowledgement lands.
-func (c *Coordinator) finish(p *sim.Proc, parts []Participant, commit bool) {
-	act := func(part Participant) func() {
-		if commit {
-			return part.Commit
-		}
-		return part.Abort
-	}
-	if len(parts) == 0 {
-		return
-	}
-	if len(parts) == 1 {
-		c.net.RPCEvent(p, c.self, parts[0].Node, act(parts[0]))
-		return
-	}
-	env := p.Env()
-	wg := env.NewWaitGroup(len(parts))
-	for _, part := range parts {
-		c.net.AsyncRPCEvent(c.self, part.Node, act(part), wg.Done)
-	}
-	p.Wait(wg)
-}
-
-// fanout dispatches the (possibly blocking) handler at every participant
-// in parallel and waits. Request and reply legs travel as callback events;
-// only the handler itself occupies a process at the participant.
-func (c *Coordinator) fanout(p *sim.Proc, parts []Participant, handler func(*sim.Proc, Participant)) {
-	if len(parts) == 0 {
-		return
-	}
-	if len(parts) == 1 {
-		part := parts[0]
-		c.net.RPC(p, c.self, part.Node, func() { handler(p, part) })
-		return
-	}
-	env := p.Env()
-	wg := env.NewWaitGroup(len(parts))
-	for _, part := range parts {
-		part := part
-		c.net.AsyncRPC("2pc-rpc", c.self, part.Node,
-			func(sub *sim.Proc) { handler(sub, part) }, wg.Done)
-	}
-	p.Wait(wg)
-}
-
-// Continuation (CPS) forms of the coordinator entry points. They schedule
-// the exact same events, at the same points of a run, as their process-form
-// counterparts (the fan-out/finish rounds mirror fanout and finish case by
-// case), so seeded schedules are identical whichever style drives a commit.
-
-// CommitK is the continuation form of Commit: classic 2PC, with k receiving
-// whether the transaction committed.
 func (c *Coordinator) CommitK(parts []Participant, k func(bool)) {
-	c.voteK(parts, func(votes bool) {
-		c.finishK(parts, votes, func() {
-			if votes {
-				c.Stats.Commits++
-			} else {
-				c.Stats.Aborts++
-			}
-			k(votes)
-		})
-	})
+	c.CommitDecidedK(parts, nil, k)
 }
 
 // CommitDecidedK is CommitK with a durability hook: onDecide runs
@@ -323,46 +169,47 @@ func (c *Coordinator) CommitK(parts []Participant, k func(bool)) {
 // produces the exact event sequence of CommitK, so turning durability on
 // cannot perturb a seeded run.
 func (c *Coordinator) CommitDecidedK(parts []Participant, onDecide func(bool), k func(bool)) {
-	c.voteK(parts, func(votes bool) {
-		onDecide(votes)
-		c.finishK(parts, votes, func() {
-			if votes {
-				c.Stats.Commits++
-			} else {
-				c.Stats.Aborts++
-			}
-			k(votes)
-		})
-	})
+	r := c.takeRound(roundCommit, parts)
+	r.onDecide, r.k = onDecide, k
+	r.vote(parts)
 }
 
-// CommitWithSwitchK is the continuation form of CommitWithSwitch. switchTxn
-// runs "at" the switch and must call its done callback when the in-switch
-// execution completes; k receives the commit outcome. Without remote
-// participants the whole commit rides a pooled frame and allocates nothing
-// at steady state.
+// CommitWithSwitchK runs the combined Decision&Switch phase for warm
+// transactions. After all remote participants vote yes, the coordinator
+// sends the switch sub-transaction (half an RTT away); switchTxn runs "at"
+// the switch and must call its done callback when the in-switch execution
+// completes. The switch then multicasts the decision: every participant's
+// Commit handler runs when the multicast arrives, without further round
+// trips, and k(true) runs at the same instant (the coordinator is one of
+// the multicast targets). On a no vote the switch transaction is never
+// sent and a classic abort round runs instead, ending in k(false).
+//
+// When the warm transaction has no remote participants, the voting phase
+// is skipped entirely (Section 6.2).
 func (c *Coordinator) CommitWithSwitchK(parts []Participant, switchTxn func(done func()), k func(bool)) {
-	remote := remoteParts(parts, c.self)
-	if len(remote) > 0 {
-		c.voteK(remote, func(votes bool) {
-			if !votes {
-				c.finishK(parts, false, func() {
-					c.Stats.Aborts++
-					k(false)
-				})
-				return
+	var r *round
+	for _, p := range parts {
+		if p.Node != c.self {
+			if r == nil {
+				r = c.takeRound(roundSwitch, parts)
 			}
-			c.switchPhase(parts, switchTxn, k)
-		})
+			r.remote = append(r.remote, p)
+		}
+	}
+	if r == nil {
+		c.switchPhase(parts, switchTxn, k)
 		return
 	}
-	c.switchPhase(parts, switchTxn, k)
+	r.switchTxn, r.k = switchTxn, k
+	r.vote(r.remote)
 }
 
-// SwitchPhaseK is the continuation form of SwitchPhase: travel to the
-// switch, run the hot sub-transaction there (switchTxn completes via done),
-// multicast the decision, and run k when the coordinator's own multicast
-// copy arrives.
+// SwitchPhaseK is the post-vote half of the combined protocol: travel to
+// the switch, run the hot sub-transaction there (switchTxn completes via
+// done), multicast the decision, and run k when the coordinator's own
+// multicast copy arrives. Callers that need work between the vote and the
+// send (e.g. appending the switch intent to the WAL only once the outcome
+// is decided) run PrepareK themselves and then call SwitchPhaseK.
 func (c *Coordinator) SwitchPhaseK(parts []Participant, switchTxn func(done func()), k func()) {
 	c.switchPhase(parts, switchTxn, func(bool) { k() })
 }
@@ -409,92 +256,204 @@ func (f *switchFrame) landed() {
 	k(true)
 }
 
-// PrepareK is the continuation form of Prepare: it runs only the voting
-// round and hands k whether every participant voted yes.
+// PrepareK runs only the voting round and hands k whether every
+// participant voted yes. Callers that interleave extra work between voting
+// and the decision (e.g. Chiller's inner region) use this together with
+// FinishK.
 func (c *Coordinator) PrepareK(parts []Participant, k func(bool)) {
-	c.voteK(parts, k)
+	r := c.takeRound(roundPrepare, parts)
+	r.k = k
+	r.vote(parts)
 }
 
-// FinishK is the continuation form of Finish: it runs only the decision
-// round.
+// FinishK runs only the decision round, committing or aborting every
+// participant.
 func (c *Coordinator) FinishK(parts []Participant, commit bool, k func()) {
-	c.finishK(parts, commit, func() {
-		if commit {
-			c.Stats.Commits++
-		} else {
-			c.Stats.Aborts++
-		}
-		k()
-	})
+	r := c.takeRound(roundFinish, parts)
+	r.ok, r.kDone = commit, k
+	r.finish()
 }
 
-// voteK runs the prepare round over all participants in parallel, mirroring
-// fanout's single-participant RPC / multi-participant async fan-out split.
-func (c *Coordinator) voteK(parts []Participant, k func(bool)) {
-	if len(parts) == 0 {
-		k(true)
-		return
-	}
-	ok := true
-	if len(parts) == 1 {
-		part := parts[0]
-		c.net.RPCK(c.self, part.Node, func(done func()) {
-			part.PrepareK(func(vote bool) {
-				if !vote {
-					ok = false
-				}
-				done()
-			})
-		}, func() { k(ok) })
-		return
-	}
-	env := c.net.Env()
-	wg := env.NewWaitGroup(len(parts))
-	for _, part := range parts {
-		part := part
-		c.net.AsyncRPCK(c.self, part.Node, func(done func()) {
-			part.PrepareK(func(vote bool) {
-				if !vote {
-					ok = false
-				}
-				done()
-			})
-		}, wg.Done)
-	}
-	wg.Subscribe(func() { k(ok) })
+// roundKind selects what a round does around its vote and decision legs.
+type roundKind uint8
+
+const (
+	roundCommit  roundKind = iota // vote, onDecide, decision round, k(ok)
+	roundPrepare                  // vote, k(ok)
+	roundFinish                   // decision round, kDone()
+	roundSwitch                   // vote the remote parts; yes: switch phase, no: abort round, k(false)
+)
+
+// round is one in-flight voting and/or decision round, pooled on the
+// coordinator with its steps cached as method values: driving a commit
+// allocates nothing once the free lists are warm. A round fans out like
+// the process coordinator it replaced did — one participant is a plain
+// round trip, several go out as parallel async round trips whose last
+// reply schedules the one same-instant event a fired wait-group signal
+// used to — so seeded schedules are unchanged.
+type round struct {
+	c         *Coordinator
+	kind      roundKind
+	parts     []Participant // the caller's, by reference
+	remote    []Participant // roundSwitch: the voters, frame-owned scratch
+	ok        bool          // the votes so far; the decision once voted
+	remaining int           // legs of the current parallel round still out
+	next      func()        // what follows that round: votedFn or finishedFn
+	onDecide  func(bool)
+	switchTxn func(done func())
+	k         func(bool)
+	kDone     func()
+
+	votedFn, finishedFn, legDoneFn func()
 }
 
-// finishK runs the decision round as callback events, mirroring finish.
-func (c *Coordinator) finishK(parts []Participant, commit bool, k func()) {
-	act := func(part Participant) func() {
-		if commit {
-			return part.Commit
-		}
-		return part.Abort
+func (c *Coordinator) takeRound(kind roundKind, parts []Participant) *round {
+	var r *round
+	if n := len(c.roundFree); n > 0 {
+		r = c.roundFree[n-1]
+		c.roundFree = c.roundFree[:n-1]
+	} else {
+		r = &round{c: c}
+		r.votedFn, r.finishedFn, r.legDoneFn = r.voted, r.finished, r.legDone
 	}
-	if len(parts) == 0 {
-		k()
-		return
-	}
-	if len(parts) == 1 {
-		c.net.RPCEventK(c.self, parts[0].Node, act(parts[0]), k)
-		return
-	}
-	env := c.net.Env()
-	wg := env.NewWaitGroup(len(parts))
-	for _, part := range parts {
-		c.net.AsyncRPCEvent(c.self, part.Node, act(part), wg.Done)
-	}
-	wg.Subscribe(k)
+	r.kind, r.parts, r.ok = kind, parts, true
+	return r
 }
 
-// remoteParts filters out participants co-located with the coordinator.
-func remoteParts(parts []Participant, self netsim.NodeID) []Participant {
-	out := make([]Participant, 0, len(parts))
-	for _, p := range parts {
-		if p.Node != self {
-			out = append(out, p)
+// release recycles the round; callers copy what they still need first.
+func (r *round) release() {
+	clear(r.remote)
+	r.parts, r.remote = nil, r.remote[:0]
+	r.onDecide, r.switchTxn, r.k, r.kDone = nil, nil, nil, nil
+	r.c.roundFree = append(r.c.roundFree, r)
+}
+
+// voteLeg adapts one participant's PrepareK to a netsim handler and
+// records its vote on the round. It recycles itself when the vote is in.
+type voteLeg struct {
+	r        *round
+	prepareK func(done func(bool))
+	done     func() // the reply leg of the round trip in flight
+
+	handlerFn func(done func())
+	votedFn   func(bool)
+}
+
+func (r *round) leg(p *Participant) *voteLeg {
+	c := r.c
+	var l *voteLeg
+	if n := len(c.legFree); n > 0 {
+		l = c.legFree[n-1]
+		c.legFree = c.legFree[:n-1]
+	} else {
+		l = &voteLeg{}
+		l.handlerFn, l.votedFn = l.handler, l.voted
+	}
+	l.r, l.prepareK = r, p.PrepareK
+	return l
+}
+
+func (l *voteLeg) handler(done func()) {
+	l.done = done
+	l.prepareK(l.votedFn)
+}
+
+func (l *voteLeg) voted(vote bool) {
+	r, done := l.r, l.done
+	if !vote {
+		r.ok = false
+	}
+	l.r, l.prepareK, l.done = nil, nil, nil
+	r.c.legFree = append(r.c.legFree, l)
+	done()
+}
+
+// vote runs the prepare round over voters in parallel and continues in
+// voted once every reply has landed (inline when there is no one to ask).
+func (r *round) vote(voters []Participant) {
+	c := r.c
+	switch len(voters) {
+	case 0:
+		r.voted()
+	case 1:
+		c.net.RPCK(c.self, voters[0].Node, r.leg(&voters[0]).handlerFn, r.votedFn)
+	default:
+		r.remaining, r.next = len(voters), r.votedFn
+		for i := range voters {
+			c.net.AsyncRPCK(c.self, voters[i].Node, r.leg(&voters[i]).handlerFn, r.legDoneFn)
 		}
 	}
-	return out
+}
+
+// legDone counts one reply of a parallel round in; the last one schedules
+// the round's next step as a same-instant event.
+func (r *round) legDone() {
+	if r.remaining--; r.remaining > 0 {
+		return
+	}
+	r.c.net.Env().After(0, r.next)
+}
+
+// voted runs at the coordinator once the outcome of the vote is known.
+func (r *round) voted() {
+	switch r.kind {
+	case roundPrepare:
+		k, ok := r.k, r.ok
+		r.release()
+		k(ok)
+	case roundSwitch:
+		if !r.ok {
+			r.finish()
+			return
+		}
+		c, parts, switchTxn, k := r.c, r.parts, r.switchTxn, r.k
+		r.release()
+		c.switchPhase(parts, switchTxn, k)
+	default:
+		if r.onDecide != nil {
+			r.onDecide(r.ok)
+		}
+		r.finish()
+	}
+}
+
+// finish runs the decision round (commit or abort, per r.ok) over all
+// participants and continues in finished. Commit/Abort handlers do not
+// wait, so the whole round travels as plain events.
+func (r *round) finish() {
+	c := r.c
+	switch len(r.parts) {
+	case 0:
+		r.finished()
+	case 1:
+		c.net.RPCEventK(c.self, r.parts[0].Node, r.act(&r.parts[0]), r.finishedFn)
+	default:
+		r.remaining, r.next = len(r.parts), r.finishedFn
+		for i := range r.parts {
+			c.net.AsyncRPCEvent(c.self, r.parts[i].Node, r.act(&r.parts[i]), r.legDoneFn)
+		}
+	}
+}
+
+func (r *round) act(p *Participant) func() {
+	if r.ok {
+		return p.Commit
+	}
+	return p.Abort
+}
+
+// finished runs once every acknowledgement of the decision round landed.
+func (r *round) finished() {
+	ok, k, kDone := r.ok, r.k, r.kDone
+	if ok {
+		r.c.Stats.Commits++
+	} else {
+		r.c.Stats.Aborts++
+	}
+	r.release()
+	if kDone != nil {
+		kDone()
+	} else {
+		k(ok)
+	}
 }
