@@ -96,11 +96,7 @@ func NewCluster(cfg Config, gen workload.Generator) *Cluster {
 		if interval <= 0 {
 			interval = DefaultAdaptInterval
 		}
-		capRows := cfg.Switch.Capacity()
-		if cfg.HotSetCap > 0 && cfg.HotSetCap < capRows {
-			capRows = cfg.HotSetCap
-		}
-		ctx.StartAdaptive(interval, capRows)
+		ctx.StartAdaptive(interval, cfg.hotSetRows())
 	}
 	if cfg.Fault != nil {
 		c.installFault(cfg.Fault)
@@ -114,32 +110,27 @@ func NewCluster(cfg Config, gen workload.Generator) *Cluster {
 // engine's Prepare step.
 func (c *Cluster) detect() {
 	sampleRNG := sim.NewRNG(c.cfg.Seed ^ 0x5EED)
-	samples := make([][]hotset.Access, 0, c.cfg.SampleTxns)
+	sample := hotset.NewSample(c.cfg.SampleTxns)
 	for i := 0; i < c.cfg.SampleTxns; i++ {
-		txn := c.gen.Next(sampleRNG, netsim.NodeID(i%c.cfg.Nodes))
-		accs := make([]hotset.Access, len(txn.Ops))
-		for j, op := range txn.Ops {
-			accs[j] = hotset.Access{Key: op.TupleKey(), DependsOn: op.DependsOn}
+		for _, op := range c.gen.Next(sampleRNG, netsim.NodeID(i%c.cfg.Nodes)).Ops {
+			sample.Add(op.TupleKey(), op.DependsOn)
 		}
-		samples = append(samples, accs)
+		sample.EndTxn()
 	}
-	cap := c.cfg.Switch.Capacity()
-	if c.cfg.HotSetCap > 0 && c.cfg.HotSetCap < cap {
-		cap = c.cfg.HotSetCap
-	}
+	capRows := c.cfg.hotSetRows()
 
 	// The preparation result is a pure function of (sample, cap, switch
 	// geometry, layout mode, seed); sweep points that only vary workers or
 	// engine share it via the detection cache (see detectcache.go), and
 	// concurrent sweep points computing the same preparation share one
 	// computation.
-	key := detectKey(c.cfg, samples, cap)
+	key := detectKey(c.cfg, sample, capRows)
 	art := getDetect(key, func() *detectArtifacts {
 		var hs *hotset.HotSet
 		if len(c.cfg.ExplicitHot) > 0 {
-			hs = hotset.FromKeys(c.cfg.ExplicitHot, samples, cap)
+			hs = hotset.FromKeys(c.cfg.ExplicitHot, sample, capRows)
 		} else {
-			hs = hotset.DetectAuto(samples, cap)
+			hs = sample.DetectAuto(capRows)
 		}
 
 		hotLabel := make(map[store.GlobalKey]bool, hs.Size())
@@ -156,60 +147,14 @@ func (c *Cluster) detect() {
 		if c.cfg.RandomLayout {
 			l = layout.Random(hs.Graph(), spec, sim.NewRNG(c.cfg.Seed^0xBAD))
 		} else {
-			l = refineLayout(hs, samples, spec)
+			l = hs.Layout(spec)
 		}
+		// Cached past this build: copies only, never the sample or hs.
 		return &detectArtifacts{hotLabel: hotLabel, layout: l, hotIdx: hotset.BuildIndex(hs, l)}
 	})
 	c.ctx.HotLabel = art.hotLabel
 	c.ctx.Layout = art.layout
 	c.ctx.HotIdx = art.hotIdx
-}
-
-// refineLayout is the profile-guided step of the layout algorithm: the
-// max-cut only separates tuple pairs the sample happened to co-access, so
-// after solving we replay the sample against the computed layout, find
-// transactions whose tuples still collide in one register array (which
-// would force a multi-pass execution), reinforce those edges and re-solve.
-// A few iterations drive the single-pass fraction to (nearly) one, which
-// is the declustered storage model's stated goal (Section 4.2).
-func refineLayout(hs *hotset.HotSet, samples [][]hotset.Access, spec layout.Spec) *layout.Layout {
-	g := hs.Graph()
-	l := layout.Optimal(g, spec)
-	for iter := 0; iter < 4; iter++ {
-		collisions := 0
-		for _, txn := range samples {
-			kept := hs.Restrict(txn)
-			if len(kept) < 2 {
-				continue
-			}
-			// Group the transaction's distinct tuples by register array;
-			// two distinct tuples in one array cannot both execute in a
-			// single pass.
-			byArray := make(map[[2]uint8]layout.TupleID, len(kept))
-			for _, a := range kept {
-				s, ok := l.SlotOf(a.Tuple)
-				if !ok {
-					continue
-				}
-				arr := [2]uint8{s.Stage, s.Array}
-				if prev, clash := byArray[arr]; clash && prev != a.Tuple {
-					collisions++
-					// Reinforce the separating edge well above the
-					// sampled co-access weights.
-					for b := 0; b < 8; b++ {
-						g.AddTxn([]layout.Access{{Tuple: prev, DependsOn: -1}, {Tuple: a.Tuple, DependsOn: -1}})
-					}
-				} else {
-					byArray[arr] = a.Tuple
-				}
-			}
-		}
-		if collisions == 0 {
-			break
-		}
-		l = layout.Optimal(g, spec)
-	}
-	return l
 }
 
 // Env returns the cluster's simulation environment.

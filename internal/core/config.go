@@ -149,6 +149,16 @@ func (cfg Config) costsFor(eng, scheme string) CostModel {
 	return cfg.Costs
 }
 
+// hotSetRows is the number of hot tuples the build may offload: the switch
+// capacity, lowered by HotSetCap if set.
+func (cfg Config) hotSetRows() int {
+	rows := cfg.Switch.Capacity()
+	if cfg.HotSetCap > 0 && cfg.HotSetCap < rows {
+		rows = cfg.HotSetCap
+	}
+	return rows
+}
+
 // validateOverrideKey checks that key names a registered engine
 // ("chiller", "chiller/*"), a registered scheme ("*/mvcc"), or an
 // "engine/scheme" pair — and is unambiguous: a bare name registered as

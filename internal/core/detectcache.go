@@ -13,14 +13,15 @@ import (
 
 // The offline preparation step (hot-tuple detection + declustered layout)
 // is a pure function of the workload sample and a handful of switch
-// parameters, and it dominated sweep wall-clock: every point of a figure
-// sweep re-derived the identical hot-set and layout while only the worker
-// count or the engine changed. This cache keys the finished artifacts by a
-// content hash of the sample plus every other input, so a sweep computes
-// each distinct preparation exactly once. The cached artifacts (hot-label
-// set, layout, index) are immutable after construction and shared
-// read-only across clusters; cached results are bit-identical to a fresh
-// computation, so seeded sweeps are unaffected.
+// parameters, and every point of a figure sweep would re-derive it while
+// only the worker count or the engine changed. This cache keys the
+// finished artifacts by a content hash of the sample plus every other
+// input, so a sweep computes each distinct preparation once; a hit still
+// pays for drawing the sample and hashing it. The artifacts (hot-label
+// set, layout, index) are immutable, shared read-only across clusters and
+// bit-identical to a fresh computation. They are copies: an entry never
+// references the sample or the HotSet it came from (tens of MB per
+// build) — TestDetectCacheHoldsNoSample pins that.
 //
 // The cache is built for the parallel sweep runner:
 //
@@ -79,12 +80,12 @@ func DetectCacheStats() metrics.CacheStats { return detectStats.Stats() }
 // The cached entries themselves are kept — only the accounting resets.
 func ResetDetectCacheStats() { detectStats.Reset() }
 
-// detectKey hashes every input the preparation step depends on: the full
-// sample (keys and dependencies), the capacity cap, the switch geometry,
-// the layout mode and the seed (the random-layout RNG derives from it).
-// SHA-256 makes an accidental collision practically impossible, so a cache
-// hit is as trustworthy as recomputing.
-func detectKey(cfg Config, samples [][]hotset.Access, cap int) [32]byte {
+// detectKey hashes every input the preparation step depends on: the capacity
+// cap, the switch geometry, the seed (the random-layout RNG derives from
+// it), the layout mode, the pinned keys and the whole sample. SHA-256 makes
+// an accidental collision practically impossible, so a cache hit is as
+// trustworthy as recomputing. The key never leaves the process.
+func detectKey(cfg Config, sample *hotset.Sample, capRows int) [32]byte {
 	h := sha256.New()
 	var buf [8]byte
 	w64 := func(v uint64) {
@@ -92,7 +93,7 @@ func detectKey(cfg Config, samples [][]hotset.Access, cap int) [32]byte {
 		h.Write(buf[:])
 	}
 	w64(cfg.Seed)
-	w64(uint64(cap))
+	w64(uint64(capRows))
 	w64(uint64(cfg.Switch.Stages))
 	w64(uint64(cfg.Switch.ArraysPerStage))
 	w64(uint64(cfg.Switch.SlotsPerArray))
@@ -105,13 +106,7 @@ func detectKey(cfg Config, samples [][]hotset.Access, cap int) [32]byte {
 	for _, k := range cfg.ExplicitHot {
 		w64(uint64(k))
 	}
-	for _, txn := range samples {
-		w64(uint64(len(txn)))
-		for _, a := range txn {
-			w64(uint64(a.Key))
-			w64(uint64(int64(a.DependsOn)))
-		}
-	}
+	sample.HashInto(h) // the bulk: fed from the arena in large blocks
 	var key [32]byte
 	h.Sum(key[:0])
 	return key

@@ -1,6 +1,7 @@
 package hotset
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -22,7 +23,7 @@ func TestDetectAutoMixedWorkload(t *testing.T) {
 		t.Fatalf("detected %d hot keys, want ~10", h.Size())
 	}
 	for i := uint64(0); i < 10; i++ {
-		if !h.Contains(k(i)) {
+		if !has(h, k(i)) {
 			t.Fatalf("hot key %d missed", i)
 		}
 	}
@@ -87,8 +88,8 @@ func TestFromKeysTruncatesByFrequency(t *testing.T) {
 		samples = append(samples, []Access{{Key: k(2), DependsOn: -1}})
 	}
 	keys := []store.GlobalKey{k(1), k(2), k(3)}
-	h := FromKeys(keys, samples, 2)
-	if h.Size() != 2 || !h.Contains(k(1)) || !h.Contains(k(2)) || h.Contains(k(3)) {
+	h := FromKeys(keys, SampleOf(samples), 2)
+	if h.Size() != 2 || !has(h, k(1)) || !has(h, k(2)) || has(h, k(3)) {
 		t.Fatalf("FromKeys kept %v", h.Keys())
 	}
 }
@@ -98,24 +99,17 @@ func TestFromKeysBuildsGraph(t *testing.T) {
 		{{Key: k(1), DependsOn: -1}, {Key: k(2), DependsOn: 0}},
 		{{Key: k(1), DependsOn: -1}, {Key: k(9), DependsOn: -1}}, // 9 not pinned
 	}
-	h := FromKeys([]store.GlobalKey{k(1), k(2)}, samples, 10)
+	h := FromKeys([]store.GlobalKey{k(1), k(2)}, SampleOf(samples), 10)
 	if h.Graph().NumTuples() != 2 || h.Graph().TotalEdgeWeight() != 1 {
 		t.Fatalf("graph = %v", h.Graph())
 	}
 }
 
-func TestRestrictRemapsDeps(t *testing.T) {
-	samples := [][]Access{{{Key: k(1), DependsOn: -1}}}
-	h := FromKeys([]store.GlobalKey{k(1), k(2)}, samples, 10)
-	kept := h.Restrict([]Access{
-		{Key: k(9), DependsOn: -1}, // dropped (cold)
-		{Key: k(1), DependsOn: 0},  // dep through cold -> -1
-		{Key: k(2), DependsOn: 1},  // dep on kept -> index 0
-	})
-	if len(kept) != 2 {
-		t.Fatalf("kept = %v", kept)
-	}
-	if kept[0].DependsOn != -1 || kept[1].DependsOn != 0 {
-		t.Fatalf("deps not remapped: %v", kept)
+// TestFromKeysDropsDuplicates: a key pinned twice must not eat a second
+// row of the capacity.
+func TestFromKeysDropsDuplicates(t *testing.T) {
+	h := FromKeys([]store.GlobalKey{k(1), k(1), k(2)}, nil, 2)
+	if !slices.Equal(h.Keys(), []store.GlobalKey{k(1), k(2)}) || h.Graph().NumTuples() != 2 {
+		t.Fatalf("FromKeys kept %v", h.Keys())
 	}
 }

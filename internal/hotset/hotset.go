@@ -2,10 +2,12 @@
 // replicated hot index (Sections 3.1 and 6.1).
 //
 // Detection replays a representative sample of the workload statement by
-// statement, counts per-tuple access frequencies, and selects the most
-// frequently accessed tuples as the hot-set (bounded by the switch
-// capacity). The same sample, restricted to the selected tuples, yields
-// the transaction-access graph the declustered layout is computed from.
+// statement into a flat, interned Sample (sample.go), ranks the tuples
+// above the noise floor by access frequency and selects the most frequent
+// ones as the hot-set (bounded by the switch capacity). The sample is then
+// projected onto the hot-set once, which yields the transaction-access
+// graph the declustered layout is solved from and the per-transaction hot
+// lists layout refinement replays (HotSet.Layout).
 //
 // At runtime every database node holds an Index replica: a small map from
 // tuple key to its switch slot. It is consulted on every transaction to
@@ -28,37 +30,19 @@ type Access struct {
 	DependsOn int
 }
 
-// HotSet is the result of offline detection.
+// HotSet is the result of offline detection. It owns the projection of its
+// sample, so it is scratch of one preparation: what outlives it (hot
+// labels, Layout, Index) is copied out and never references it.
 type HotSet struct {
-	keys  map[store.GlobalKey]struct{}
-	freq  map[store.GlobalKey]int64
+	keys  []store.GlobalKey // selection order; position = hot index = dense id in graph
 	graph *layout.Graph
+	// The sampled transactions with two or more hot accesses, as hot
+	// indices back to back: transaction i is proj[ends[i-1]:ends[i]].
+	proj []int32
+	ends []uint32
 }
 
-// countFreq tallies per-tuple access frequencies over the sample.
-func countFreq(samples [][]Access) map[store.GlobalKey]int64 {
-	freq := make(map[store.GlobalKey]int64)
-	for _, txn := range samples {
-		for _, a := range txn {
-			freq[a.Key]++
-		}
-	}
-	return freq
-}
-
-// Detect replays the sampled transactions and returns the topK most
-// frequently accessed tuples together with their access graph. Sample
-// transactions that touch both hot and cold tuples contribute their hot
-// subset to the graph (those are exactly the switch sub-transactions warm
-// transactions will run).
-func Detect(samples [][]Access, topK int) *HotSet {
-	return detectTop(countFreq(samples), samples, topK)
-}
-
-// detectTop is Detect with the frequency tally already computed (DetectAuto
-// needs the tally itself to find the hot/cold gap; recounting the whole
-// sample for the selection pass would double the detection cost).
-// kf pairs a tuple with its sampled frequency for the detection sorts.
+// kf pairs a tuple with its sampled frequency for the detection sort.
 // kfCompare orders by descending frequency, ascending key on ties — the
 // exact total order the detectors have always used.
 type kf struct {
@@ -76,63 +60,14 @@ func kfCompare(a, b kf) int {
 	return cmp.Compare(a.k, b.k)
 }
 
-func detectTop(freq map[store.GlobalKey]int64, samples [][]Access, topK int) *HotSet {
-	order := make([]kf, 0, len(freq))
-	for k, f := range freq {
-		order = append(order, kf{k, f})
+// kfKeys returns the keys of the first n entries of a ranked list (all of
+// them if it is shorter).
+func kfKeys(ranked []kf, n int) []store.GlobalKey {
+	keys := make([]store.GlobalKey, min(n, len(ranked)))
+	for i := range keys {
+		keys[i] = ranked[i].k
 	}
-	slices.SortFunc(order, kfCompare)
-	if topK > len(order) {
-		topK = len(order)
-	}
-	h := &HotSet{
-		keys:  make(map[store.GlobalKey]struct{}, topK),
-		freq:  freq,
-		graph: layout.NewGraph(),
-	}
-	for _, e := range order[:topK] {
-		h.keys[e.k] = struct{}{}
-		h.graph.AddTuple(layout.TupleID(e.k))
-	}
-
-	// Second pass: fold the hot subsets of all sampled transactions into
-	// the access graph, remapping dependency indices to the kept subset.
-	// The projection buffers are reused across transactions; AddTxn does
-	// not retain its argument.
-	var kept []layout.Access
-	var remap []int
-	for _, txn := range samples {
-		kept = restrictInto(h.keys, txn, kept[:0], &remap)
-		if len(kept) >= 2 {
-			h.graph.AddTxn(kept)
-		}
-	}
-	return h
-}
-
-// restrictInto projects txn onto the hot keys, appending to kept and using
-// *remap as scratch (grown on demand). Dependencies through dropped cold
-// accesses become independent.
-func restrictInto(hot map[store.GlobalKey]struct{}, txn []Access, kept []layout.Access, remap *[]int) []layout.Access {
-	if cap(*remap) < len(txn) {
-		*remap = make([]int, len(txn))
-	}
-	rm := (*remap)[:len(txn)]
-	for i := range rm {
-		rm[i] = -1
-	}
-	for i, a := range txn {
-		if _, ok := hot[a.Key]; !ok {
-			continue
-		}
-		dep := -1
-		if a.DependsOn >= 0 && a.DependsOn < i {
-			dep = rm[a.DependsOn]
-		}
-		rm[i] = len(kept)
-		kept = append(kept, layout.Access{Tuple: layout.TupleID(a.Key), DependsOn: dep})
-	}
-	return kept
+	return keys
 }
 
 // DetectAuto selects the hot-set without a preset size. Tuples sampled
@@ -145,27 +80,27 @@ func restrictInto(hot map[store.GlobalKey]struct{}, txn []Access, kept []layout.
 // workload). The result is capped at maxK tuples (the switch capacity),
 // keeping the most frequent; the remainder stays on the database nodes
 // (Figure 17's spill path).
+func (s *Sample) DetectAuto(maxK int) *HotSet {
+	t := s.tally()
+	var ranked []kf
+	for _, e := range t.table {
+		if e.count >= NoiseFloor {
+			ranked = append(ranked, kf{e.key, int64(e.count)})
+		}
+	}
+	slices.SortFunc(ranked, kfCompare)
+	return s.project(t, kfKeys(ranked, autoCut(ranked, maxK)))
+}
+
+// DetectAuto is Sample.DetectAuto for a sample held as per-transaction
+// slices.
 func DetectAuto(samples [][]Access, maxK int) *HotSet {
-	freq := countFreq(samples)
-	return detectTop(freq, samples, autoCut(rankFreqs(freq), maxK))
+	return SampleOf(samples).DetectAuto(maxK)
 }
 
 // NoiseFloor is the minimum sample tally for a key to count as a
 // detection candidate; rarer keys are sampling noise, never hot.
 const NoiseFloor = 3
-
-// rankFreqs filters the noise floor out of a tally and returns the
-// remainder in detection order (descending frequency, ascending key).
-func rankFreqs(freq map[store.GlobalKey]int64) []kf {
-	kept := make([]kf, 0, len(freq))
-	for k, f := range freq {
-		if f >= NoiseFloor {
-			kept = append(kept, kf{k, f})
-		}
-	}
-	slices.SortFunc(kept, kfCompare)
-	return kept
-}
 
 // autoCut applies DetectAuto's plateau heuristic to an already-ranked
 // list: cut at the last >=4x inter-neighbour drop, cap at maxK.
@@ -183,93 +118,49 @@ func autoCut(ranked []kf, maxK int) int {
 	return k
 }
 
-// SelectAuto applies DetectAuto's selection — noise floor, frequency
-// ranking, plateau cut, capacity cap — to an already-folded frequency
-// tally, and returns the selected keys in detection order. It is the
-// online half of detection: the adaptive layout controller folds its
-// sliding window into a tally and selects from it with exactly the
-// offline heuristic, so the two detectors agree on any common sample.
-func SelectAuto(freq map[store.GlobalKey]int64, maxK int) []store.GlobalKey {
-	ranked := rankFreqs(freq)
-	keys := make([]store.GlobalKey, autoCut(ranked, maxK))
-	for i := range keys {
-		keys[i] = ranked[i].k
-	}
-	return keys
-}
-
-// SelectTop is SelectAuto without the plateau cut: every key above the
-// noise floor, frequency-ranked, capped at maxK. Online re-detection uses
-// it because a sliding window holds orders of magnitude fewer samples
-// than the offline replay — a plateau cut calibrated for dense tallies
-// truncates a sparse one to its first handful of keys, while the
-// controller's sticky-resident policy already provides the stability the
-// cut exists to buy.
+// SelectTop is detection's selection without the plateau cut, over an
+// already-folded frequency tally: every key above the noise floor,
+// frequency-ranked, capped at maxK. Online re-detection uses it because a
+// sliding window holds orders of magnitude fewer samples than the offline
+// replay — a plateau cut calibrated for dense tallies truncates a sparse
+// one to its first handful of keys, while the controller's
+// sticky-resident policy already provides the stability the cut exists to
+// buy.
 func SelectTop(freq map[store.GlobalKey]int64, maxK int) []store.GlobalKey {
-	ranked := rankFreqs(freq)
-	if len(ranked) > maxK {
-		ranked = ranked[:maxK]
+	ranked := make([]kf, 0, len(freq))
+	for k, f := range freq {
+		if f >= NoiseFloor {
+			ranked = append(ranked, kf{k, f})
+		}
 	}
-	keys := make([]store.GlobalKey, len(ranked))
-	for i := range keys {
-		keys[i] = ranked[i].k
-	}
-	return keys
+	slices.SortFunc(ranked, kfCompare)
+	return kfKeys(ranked, maxK)
 }
 
 // FromKeys builds a hot-set from an a-priori known tuple list (the
-// operator pinned the offload set explicitly), truncated to the maxK most
-// frequently sampled tuples. The access graph is still derived from the
-// sample so the layout algorithm has co-access information.
-func FromKeys(keys []store.GlobalKey, samples [][]Access, maxK int) *HotSet {
-	freq := countFreq(samples)
-	decorated := make([]kf, len(keys))
+// operator pinned the offload set explicitly): duplicates dropped, then
+// truncated to the maxK most frequently sampled tuples. The access graph
+// is still derived from the sample so the layout algorithm has co-access
+// information; a nil sample gives an edgeless graph.
+func FromKeys(keys []store.GlobalKey, s *Sample, maxK int) *HotSet {
+	if s == nil {
+		s = NewSample(0)
+	}
+	t := s.tally()
+	ranked := make([]kf, len(keys))
 	for i, k := range keys {
-		decorated[i] = kf{k, freq[k]}
+		ranked[i] = kf{k, int64(t.probe(k).count)}
 	}
-	slices.SortFunc(decorated, kfCompare)
-	if maxK < len(decorated) {
-		decorated = decorated[:maxK]
-	}
-	sorted := make([]store.GlobalKey, len(decorated))
-	for i, e := range decorated {
-		sorted[i] = e.k
-	}
-	h := &HotSet{
-		keys:  make(map[store.GlobalKey]struct{}, len(sorted)),
-		freq:  freq,
-		graph: layout.NewGraph(),
-	}
-	for _, k := range sorted {
-		h.keys[k] = struct{}{}
-		h.graph.AddTuple(layout.TupleID(k))
-	}
-	for _, txn := range samples {
-		if kept := h.Restrict(txn); len(kept) >= 2 {
-			h.graph.AddTxn(kept)
-		}
-	}
-	return h
+	slices.SortFunc(ranked, kfCompare)
+	return s.project(t, kfKeys(slices.Compact(ranked), maxK)) // a key's duplicates sort next to it
 }
-
-// Contains reports whether key was selected as hot.
-func (h *HotSet) Contains(k store.GlobalKey) bool {
-	_, ok := h.keys[k]
-	return ok
-}
-
-// Freq returns the sampled access frequency of key.
-func (h *HotSet) Freq(k store.GlobalKey) int64 { return h.freq[k] }
 
 // Size returns the number of hot tuples.
 func (h *HotSet) Size() int { return len(h.keys) }
 
 // Keys returns the hot tuples in deterministic (sorted) order.
 func (h *HotSet) Keys() []store.GlobalKey {
-	out := make([]store.GlobalKey, 0, len(h.keys))
-	for k := range h.keys {
-		out = append(out, k)
-	}
+	out := slices.Clone(h.keys)
 	slices.Sort(out)
 	return out
 }
@@ -278,13 +169,50 @@ func (h *HotSet) Keys() []store.GlobalKey {
 // for the layout algorithm.
 func (h *HotSet) Graph() *layout.Graph { return h.graph }
 
-// Restrict projects a sampled transaction onto the hot-set, remapping
-// dependency indices to the kept subset (dependencies through dropped
-// cold accesses become independent). It is the same projection Detect
-// uses to build the access graph, exposed for layout refinement.
-func (h *HotSet) Restrict(txn []Access) []layout.Access {
-	var remap []int
-	return restrictInto(h.keys, txn, make([]layout.Access, 0, len(txn)), &remap)
+// Layout computes the declustered layout of the hot-set, including the
+// profile-guided step of the layout algorithm: the max-cut only separates
+// tuple pairs the sample happened to co-access, so after solving we replay
+// the projected sample against the computed layout, find transactions
+// whose tuples still collide in one register array (which would force a
+// multi-pass execution), reinforce those edges and re-solve. A few
+// iterations drive the single-pass fraction to (nearly) one, which is the
+// declustered storage model's stated goal (Section 4.2).
+func (h *HotSet) Layout(spec layout.Spec) *layout.Layout {
+	l := layout.Optimal(h.graph, spec)
+	arrayOf := make([]int32, len(h.keys)) // hot index -> register array
+	// Per register array, the transaction that last claimed it and the
+	// tuple it claimed it for. Two distinct tuples of one transaction in
+	// one array cannot both execute in a single pass.
+	claimedBy := make([]uint32, spec.NumArrays())
+	owner := make([]int32, spec.NumArrays())
+	txn := uint32(0)
+	for iter := 0; iter < 4; iter++ {
+		for i, k := range h.keys {
+			s, _ := l.SlotOf(layout.TupleID(k))
+			arrayOf[i] = int32(s.Stage)*int32(spec.ArraysPerStage) + int32(s.Array)
+		}
+		collisions, lo := 0, uint32(0)
+		for _, hi := range h.ends {
+			txn++
+			for _, a := range h.proj[lo:hi] {
+				arr := arrayOf[a]
+				if claimedBy[arr] == txn && owner[arr] != a {
+					collisions++
+					// Reinforce the separating edge well above the
+					// sampled co-access weights.
+					h.graph.Reinforce(owner[arr], a, 8)
+				} else {
+					claimedBy[arr], owner[arr] = txn, a
+				}
+			}
+			lo = hi
+		}
+		if collisions == 0 {
+			break
+		}
+		l = layout.Optimal(h.graph, spec)
+	}
+	return l
 }
 
 // Index is the per-node replica of the hot-tuple index. It is small (a few

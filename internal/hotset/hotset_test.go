@@ -1,6 +1,7 @@
 package hotset
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/layout"
@@ -10,23 +11,23 @@ import (
 
 func k(n uint64) store.GlobalKey { return store.Global(1, store.Key(n)) }
 
+// has reports whether key was selected as hot.
+func has(h *HotSet, key store.GlobalKey) bool { return slices.Contains(h.Keys(), key) }
+
 func TestDetectPicksMostFrequent(t *testing.T) {
 	var samples [][]Access
 	for i := 0; i < 100; i++ {
 		samples = append(samples, []Access{{Key: k(1), DependsOn: -1}, {Key: k(2), DependsOn: -1}})
 	}
 	samples = append(samples, []Access{{Key: k(3), DependsOn: -1}})
-	h := Detect(samples, 2)
-	if h.Size() != 2 || !h.Contains(k(1)) || !h.Contains(k(2)) || h.Contains(k(3)) {
+	h := DetectAuto(samples, 2)
+	if h.Size() != 2 || !has(h, k(1)) || !has(h, k(2)) || has(h, k(3)) {
 		t.Fatalf("hot set = %v", h.Keys())
-	}
-	if h.Freq(k(1)) != 100 {
-		t.Fatalf("freq = %d", h.Freq(k(1)))
 	}
 }
 
-func TestDetectTopKLargerThanUniverse(t *testing.T) {
-	h := Detect([][]Access{{{Key: k(1), DependsOn: -1}}}, 10)
+func TestDetectCapLargerThanUniverse(t *testing.T) {
+	h := DetectAuto([][]Access{{{Key: k(1), DependsOn: -1}, {Key: k(1), DependsOn: -1}, {Key: k(1), DependsOn: -1}}}, 10)
 	if h.Size() != 1 {
 		t.Fatalf("Size = %d", h.Size())
 	}
@@ -43,7 +44,7 @@ func TestDetectGraphOnlyHotSubset(t *testing.T) {
 		})
 	}
 	samples = append(samples, []Access{{Key: k(9), DependsOn: -1}})
-	h := Detect(samples, 2)
+	h := DetectAuto(samples, 2)
 	g := h.Graph()
 	if g.NumTuples() != 2 {
 		t.Fatalf("graph tuples = %d, want 2", g.NumTuples())
@@ -70,7 +71,7 @@ func TestDetectDependencyRemapping(t *testing.T) {
 			{Key: k(2), DependsOn: 1}, // dep via cold: dropped
 		})
 	}
-	h := Detect(samples, 2)
+	h := DetectAuto(samples, 2)
 	spec := layout.Spec{Stages: 2, ArraysPerStage: 1, SlotsPerArray: 1}
 	l := layout.Optimal(h.Graph(), spec)
 	s1, _ := l.SlotOf(layout.TupleID(k(1)))
@@ -81,11 +82,7 @@ func TestDetectDependencyRemapping(t *testing.T) {
 }
 
 func TestBuildIndexSpill(t *testing.T) {
-	var samples [][]Access
-	for i := uint64(0); i < 6; i++ {
-		samples = append(samples, [][]Access{{{Key: k(i), DependsOn: -1}}}...)
-	}
-	h := Detect(samples, 6)
+	h := FromKeys([]store.GlobalKey{k(0), k(1), k(2), k(3), k(4), k(5)}, nil, 6)
 	// Layout only 4 of the 6 (capacity-capped subset).
 	g := layout.NewGraph()
 	for _, key := range h.Keys()[:4] {
@@ -122,8 +119,8 @@ func TestDeterministicDetection(t *testing.T) {
 			{Key: k(uint64(rng.Intn(20))), DependsOn: -1},
 		})
 	}
-	a := Detect(samples, 5).Keys()
-	b := Detect(samples, 5).Keys()
+	a := DetectAuto(samples, 5).Keys()
+	b := DetectAuto(samples, 5).Keys()
 	if len(a) != len(b) {
 		t.Fatal("non-deterministic size")
 	}

@@ -92,8 +92,9 @@ func Optimal(g *Graph, spec Spec) *Layout {
 	for i := range dep {
 		dep[i] = make([]int64, k)
 	}
-	for i, key := range g.ekeys {
-		pu, pv := part[key.u], part[key.v]
+	for i := range g.epool {
+		u, v := g.endpoints(i)
+		pu, pv := part[u], part[v]
 		if pu == pv {
 			continue
 		}

@@ -18,6 +18,7 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -34,127 +35,155 @@ type Access struct {
 	DependsOn int
 }
 
-type edgeKey struct{ u, v TupleID } // canonical: u < v
-
 type edgeInfo struct {
 	weight int64 // co-access frequency
 	fwd    int64 // weight of ordered dependencies u -> v
 	rev    int64 // weight of ordered dependencies v -> u
 }
 
-// Graph is the transaction-access graph of Section 4.2. Edge records live
-// in one growable pool indexed by the edges map: folding a sample into the
-// graph is allocation-free per edge and the solver's adjacency pass walks
-// contiguous slices instead of chasing per-edge heap pointers. Tuples get
-// dense 32-bit ids on first touch, so the pair map hashes one machine word
-// (two dense ids packed) instead of a 16-byte tuple-id struct — the pair
-// hashing dominated graph construction for TPC-C-sized samples.
+// Graph is the transaction-access graph of Section 4.2. Tuples get dense
+// 32-bit ids in registration order and everything below the by-id face
+// (AddTuple / AddTxn) works on those: a transaction folds in as a list of
+// dense ids, a pair is one machine word (two dense ids packed, the lower
+// tuple id in the high half), and pair -> edge record is one probe of a
+// flat open-addressed table — no Go map is touched per access or per pair.
+// Edge records live in one growable pool, so the solver's adjacency pass
+// walks contiguous slices.
 type Graph struct {
-	freq    map[TupleID]int64
-	did     map[TupleID]int32 // tuple -> dense id (assigned on first edge use)
-	dtuples []TupleID         // dense id -> tuple
-	edges   map[uint64]int32  // packed dense pair (canonical u < v by tuple id) -> epool index
-	epool   []edgeInfo
-	ekeys   []edgeKey // epool index -> canonical tuple-id pair (for iteration)
-	edense  []uint64  // epool index -> packed dense pair (solver adjacency)
-	scratch []int32   // per-AddTxn dense-id buffer
+	tuples []TupleID         // dense id -> tuple
+	did    map[TupleID]int32 // tuple -> dense id; read by the by-id face only
+	pairs  []int32           // open-addressed: epool index + 1 of the pair hashed here, 0 = empty
+	shift  uint              // 64 - log2(len(pairs))
+	epool  []edgeInfo
+	edense []uint64 // epool index -> packed dense pair
+
+	ids, deps []int32 // AddTxn's scratch
 }
 
 // NewGraph returns an empty access graph.
 func NewGraph() *Graph {
+	const initialBits = 10
 	return &Graph{
-		freq:  make(map[TupleID]int64),
 		did:   make(map[TupleID]int32),
-		edges: make(map[uint64]int32),
+		pairs: make([]int32, 1<<initialBits),
+		shift: 64 - initialBits,
 	}
-}
-
-// denseID returns (assigning on first use) the tuple's dense id.
-func (g *Graph) denseID(t TupleID) int32 {
-	if d, ok := g.did[t]; ok {
-		return d
-	}
-	d := int32(len(g.dtuples))
-	g.did[t] = d
-	g.dtuples = append(g.dtuples, t)
-	return d
 }
 
 // AddTuple registers a tuple even if no transaction touches it (it still
-// needs a slot on the switch).
-func (g *Graph) AddTuple(t TupleID) {
-	if _, ok := g.freq[t]; !ok {
-		g.freq[t] = 0
+// needs a slot on the switch) and returns its dense id.
+func (g *Graph) AddTuple(t TupleID) int32 {
+	if d, ok := g.did[t]; ok {
+		return d
 	}
+	d := int32(len(g.tuples))
+	g.did[t] = d
+	g.tuples = append(g.tuples, t)
+	return d
 }
 
 // AddTxn folds one transaction's accesses into the graph: every pair of
 // distinct tuples gains co-access weight, and declared dependencies add
-// directed weight.
+// directed weight. It resolves tuple ids to dense ids (registering unseen
+// tuples) and hands them to AddTxnDense.
 func (g *Graph) AddTxn(accesses []Access) {
-	if cap(g.scratch) < len(accesses) {
-		g.scratch = make([]int32, len(accesses))
-	}
-	ids := g.scratch[:len(accesses)]
+	g.ids, g.deps = g.ids[:0], g.deps[:0]
 	for i, a := range accesses {
-		g.freq[a.Tuple]++
-		ids[i] = g.denseID(a.Tuple)
-	}
-	for i, a := range accesses {
-		for j := i + 1; j < len(accesses); j++ {
-			b := accesses[j]
-			if a.Tuple == b.Tuple {
-				continue
-			}
-			g.edgeAt(a.Tuple, ids[i], b.Tuple, ids[j]).weight++
-		}
+		dep := int32(-1)
 		if a.DependsOn >= 0 && a.DependsOn < i {
-			dep := accesses[a.DependsOn]
-			if dep.Tuple != a.Tuple {
-				e := g.edgeAt(dep.Tuple, ids[a.DependsOn], a.Tuple, ids[i])
-				if dep.Tuple < a.Tuple {
-					e.fwd++
-				} else {
-					e.rev++
-				}
+			dep = int32(a.DependsOn)
+		}
+		g.ids = append(g.ids, g.AddTuple(a.Tuple))
+		g.deps = append(g.deps, dep)
+	}
+	g.AddTxnDense(g.ids, g.deps)
+}
+
+// AddTxnDense is AddTxn over dense ids as AddTuple returned them: deps[i]
+// is the index of the earlier access ids[i] depends on, or negative.
+// Neither slice is retained.
+func (g *Graph) AddTxnDense(ids, deps []int32) {
+	for i, a := range ids {
+		for _, b := range ids[i+1:] {
+			if a != b {
+				g.edgeAt(a, b).weight++
 			}
+		}
+		d := deps[i]
+		if d < 0 || int(d) >= i || ids[d] == a {
+			continue
+		}
+		if e := g.edgeAt(ids[d], a); g.tuples[ids[d]] < g.tuples[a] {
+			e.fwd++
+		} else {
+			e.rev++
 		}
 	}
 }
 
-// edgeAt returns the edge record for a pair whose dense ids are already
-// known, canonicalized to ascending tuple id exactly like before.
-func (g *Graph) edgeAt(at TupleID, ad int32, bt TupleID, bd int32) *edgeInfo {
-	if at > bt {
-		at, ad, bt, bd = bt, bd, at, ad
+// Reinforce adds w to the co-access weight of the pair (a, b) of distinct
+// dense ids — layout refinement's way of pulling apart two tuples the
+// solver left in one register array.
+func (g *Graph) Reinforce(a, b int32, w int64) { g.edgeAt(a, b).weight += w }
+
+// edgeAt returns the edge record of a pair of distinct dense ids,
+// canonicalized to ascending tuple id.
+func (g *Graph) edgeAt(a, b int32) *edgeInfo {
+	if g.tuples[a] > g.tuples[b] {
+		a, b = b, a
 	}
-	packed := uint64(uint32(ad))<<32 | uint64(uint32(bd))
-	if i, ok := g.edges[packed]; ok {
-		return &g.epool[i]
+	packed := uint64(uint32(a))<<32 | uint64(uint32(b))
+	i := g.slot(packed)
+	if g.pairs[i] == 0 {
+		if 2*len(g.epool) >= len(g.pairs) { // half full: double and re-seat every edge
+			g.pairs = make([]int32, 2*len(g.pairs))
+			g.shift--
+			for e, p := range g.edense {
+				g.pairs[g.slot(p)] = int32(e + 1)
+			}
+			i = g.slot(packed)
+		}
+		g.epool = append(g.epool, edgeInfo{})
+		g.edense = append(g.edense, packed)
+		g.pairs[i] = int32(len(g.epool))
 	}
-	g.edges[packed] = int32(len(g.epool))
-	g.epool = append(g.epool, edgeInfo{})
-	g.ekeys = append(g.ekeys, edgeKey{at, bt})
-	g.edense = append(g.edense, packed)
-	return &g.epool[len(g.epool)-1]
+	return &g.epool[g.pairs[i]-1]
 }
 
-func (g *Graph) edge(a, b TupleID) *edgeInfo {
-	return g.edgeAt(a, g.denseID(a), b, g.denseID(b))
+// slot returns packed's position in the pair table: where it sits, or the
+// empty position it belongs in.
+func (g *Graph) slot(packed uint64) int {
+	mask := len(g.pairs) - 1
+	i := int(packed * 0x9E3779B97F4A7C15 >> g.shift)
+	for g.pairs[i] != 0 && g.edense[g.pairs[i]-1] != packed {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// sorted returns the registered tuples in ascending order and, for every
+// dense id, its position in that order.
+func (g *Graph) sorted() (tuples []TupleID, rank []int32) {
+	order := make([]int32, len(g.tuples))
+	for d := range order {
+		order[d] = int32(d)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(g.tuples[a], g.tuples[b]) })
+	tuples, rank = make([]TupleID, len(order)), make([]int32, len(order))
+	for i, d := range order {
+		tuples[i], rank[d] = g.tuples[d], int32(i)
+	}
+	return tuples, rank
 }
 
 // Tuples returns all registered tuples in deterministic (sorted) order.
 func (g *Graph) Tuples() []TupleID {
-	out := make([]TupleID, 0, len(g.freq))
-	for t := range g.freq {
-		out = append(out, t)
-	}
-	slices.Sort(out)
-	return out
+	tuples, _ := g.sorted()
+	return tuples
 }
 
 // NumTuples returns the number of registered tuples.
-func (g *Graph) NumTuples() int { return len(g.freq) }
+func (g *Graph) NumTuples() int { return len(g.tuples) }
 
 // TotalEdgeWeight returns the sum of all co-access weights.
 func (g *Graph) TotalEdgeWeight() int64 {
@@ -165,21 +194,15 @@ func (g *Graph) TotalEdgeWeight() int64 {
 	return sum
 }
 
-// CutWeight returns the total weight of edges whose endpoints are in
-// different partitions under the given assignment.
-func (g *Graph) CutWeight(part map[TupleID]int) int64 {
-	var cut int64
-	for i, k := range g.ekeys {
-		if part[k.u] != part[k.v] {
-			cut += g.epool[i].weight
-		}
-	}
-	return cut
+// endpoints returns the tuples edge e connects, lower tuple id first.
+func (g *Graph) endpoints(e int) (u, v TupleID) {
+	packed := g.edense[e]
+	return g.tuples[packed>>32], g.tuples[uint32(packed)]
 }
 
 // String summarizes the graph for diagnostics.
 func (g *Graph) String() string {
-	return fmt.Sprintf("layout.Graph{tuples=%d edges=%d weight=%d}", len(g.freq), len(g.edges), g.TotalEdgeWeight())
+	return fmt.Sprintf("layout.Graph{tuples=%d edges=%d weight=%d}", len(g.tuples), len(g.epool), g.TotalEdgeWeight())
 }
 
 // maxCut partitions the tuples into k groups of at most capacity tuples
@@ -187,31 +210,19 @@ func (g *Graph) String() string {
 // in descending incident-weight order followed by first-improvement local
 // search (node moves), the classic scheme the MQLib heuristics build on.
 //
-// Internally every tuple is mapped to a dense index once, so the inner
-// gain loops run over slices instead of hashing 64-bit tuple ids — the
-// hashing dominated the whole offline preparation step before. The
-// decisions (placements, tie-breaks, move/swap acceptance) are identical
-// to the map-based implementation, so computed layouts are unchanged.
+// The inner gain loops run over slices indexed by a tuple's position in
+// sorted order, not over maps keyed by tuple id.
 func (g *Graph) maxCut(k int, capacity int) map[TupleID]int {
-	tuples := g.Tuples()
 	if k <= 0 {
 		panic("layout: maxCut with k <= 0")
 	}
+	// Everything below indexes tuples by their position in sorted order;
+	// rank maps a dense id to that position.
+	tuples, rank := g.sorted()
 	if len(tuples) > k*capacity {
 		panic(fmt.Sprintf("layout: %d tuples exceed %d partitions x %d capacity", len(tuples), k, capacity))
 	}
-
 	n := len(tuples)
-	// rank maps a dense id to the tuple's position in sorted-tuple order —
-	// the same index the retired idx map produced, computed without
-	// hashing. Tuples that never gained an edge have no dense id and no
-	// adjacency, so the lookup misses below cannot occur.
-	rank := make([]int32, len(g.dtuples))
-	for i, t := range tuples {
-		if d, ok := g.did[t]; ok {
-			rank[d] = int32(i)
-		}
-	}
 
 	// Dense adjacency for fast gain computation. The append order follows
 	// edge-pool order, but every consumer below either sums a whole list

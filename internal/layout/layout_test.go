@@ -27,14 +27,14 @@ func TestGraphDirectedEdges(t *testing.T) {
 	g := NewGraph()
 	// op1 on tuple 2 depends on op0 on tuple 1 => direction 1 -> 2
 	g.AddTxn([]Access{{Tuple: 1}, {Tuple: 2, DependsOn: 0}})
-	e := g.edge(1, 2)
+	e := g.edgeAt(g.AddTuple(1), g.AddTuple(2))
 	if e.fwd != 1 || e.rev != 0 {
 		t.Fatalf("edge = %+v, want fwd=1", e)
 	}
 	// reversed tuple ids: op on tuple 1 depends on op on tuple 2
 	g2 := NewGraph()
 	g2.AddTxn([]Access{{Tuple: 2}, {Tuple: 1, DependsOn: 0}})
-	e2 := g2.edge(1, 2)
+	e2 := g2.edgeAt(g2.AddTuple(1), g2.AddTuple(2))
 	if e2.rev != 1 || e2.fwd != 0 {
 		t.Fatalf("edge = %+v, want rev=1", e2)
 	}
@@ -108,7 +108,7 @@ func TestMaxCutQuality(t *testing.T) {
 		}
 		k := rng.Intn(3) + 2
 		part := g.maxCut(k, (n+k-1)/k+1)
-		if cut, total := g.CutWeight(part), g.TotalEdgeWeight(); total > 0 && cut*2 < total {
+		if cut, total := g.cutWeight(part), g.TotalEdgeWeight(); total > 0 && cut*2 < total {
 			t.Fatalf("cut %d < half of total %d (k=%d n=%d)", cut, total, k, n)
 		}
 	}
@@ -423,4 +423,66 @@ func TestCompileProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGraphFoldMatchesReference checks the dense fold (flat pair table,
+// dense ids) against the definition of the access graph spelled out on a
+// map keyed by tuple-id pairs — the body AddTxn had before — on random
+// transactions with repeated tuples and in- and out-of-range dependencies.
+func TestGraphFoldMatchesReference(t *testing.T) {
+	type pair struct{ u, v TupleID } // u < v
+	ref := map[pair]*edgeInfo{}
+	refEdge := func(a, b TupleID) *edgeInfo {
+		if a > b {
+			a, b = b, a
+		}
+		if ref[pair{a, b}] == nil {
+			ref[pair{a, b}] = &edgeInfo{}
+		}
+		return ref[pair{a, b}]
+	}
+	rng := sim.NewRNG(3)
+	g := NewGraph()
+	for n := 0; n < 3000; n++ {
+		accesses := make([]Access, rng.Intn(7))
+		for i := range accesses {
+			accesses[i] = Access{Tuple: TupleID(rng.Intn(60) * 1000003 % 61), DependsOn: rng.Intn(9) - 2}
+		}
+		g.AddTxn(accesses)
+		for i, a := range accesses {
+			for j := i + 1; j < len(accesses); j++ {
+				if b := accesses[j]; a.Tuple != b.Tuple {
+					refEdge(a.Tuple, b.Tuple).weight++
+				}
+			}
+			if a.DependsOn >= 0 && a.DependsOn < i {
+				if dep := accesses[a.DependsOn]; dep.Tuple < a.Tuple {
+					refEdge(dep.Tuple, a.Tuple).fwd++
+				} else if dep.Tuple > a.Tuple {
+					refEdge(dep.Tuple, a.Tuple).rev++
+				}
+			}
+		}
+	}
+	if len(g.epool) != len(ref) {
+		t.Fatalf("graph holds %d edges, reference %d", len(g.epool), len(ref))
+	}
+	for e := range g.epool {
+		u, v := g.endpoints(e)
+		if want := ref[pair{u, v}]; want == nil || g.epool[e] != *want {
+			t.Fatalf("edge %d-%d = %+v, reference %+v", u, v, g.epool[e], want)
+		}
+	}
+}
+
+// cutWeight returns the total weight of edges whose endpoints are in
+// different partitions under the given assignment.
+func (g *Graph) cutWeight(part map[TupleID]int) int64 {
+	var cut int64
+	for e := range g.epool {
+		if u, v := g.endpoints(e); part[u] != part[v] {
+			cut += g.epool[e].weight
+		}
+	}
+	return cut
 }
