@@ -153,10 +153,12 @@ func report(w io.Writer, eng engine.Engine, wl string, nodes, samples, window in
 	// Replay a fresh sample against the computed layout.
 	rng := sim.NewRNG(seed)
 	single, multi, hot := 0, 0, 0
+	var txn workload.Txn
+	var ops []layout.HotOp
 	for i := 0; i < samples; i++ {
-		txn := gen.Next(rng, netsim.NodeID(i%nodes))
+		gen.NextInto(rng, netsim.NodeID(i%nodes), &txn)
 		allHot := len(txn.Ops) > 0
-		ops := make([]layout.HotOp, 0, len(txn.Ops))
+		ops = ops[:0]
 		for _, op := range txn.Ops {
 			if !ix.OnSwitch(op.TupleKey()) {
 				allHot = false
@@ -211,7 +213,7 @@ func report(w io.Writer, eng engine.Engine, wl string, nodes, samples, window in
 			n = samples
 		}
 		for i := 0; i < n; i++ {
-			txn := wgen.Next(wrng, netsim.NodeID(i%nodes))
+			wgen.NextInto(wrng, netsim.NodeID(i%nodes), &txn)
 			for _, op := range txn.Ops {
 				freq[op.TupleKey()]++
 			}

@@ -111,8 +111,10 @@ func NewCluster(cfg Config, gen workload.Generator) *Cluster {
 func (c *Cluster) detect() {
 	sampleRNG := sim.NewRNG(c.cfg.Seed ^ 0x5EED)
 	sample := hotset.NewSample(c.cfg.SampleTxns)
+	var txn workload.Txn
 	for i := 0; i < c.cfg.SampleTxns; i++ {
-		for _, op := range c.gen.Next(sampleRNG, netsim.NodeID(i%c.cfg.Nodes)).Ops {
+		c.gen.NextInto(sampleRNG, netsim.NodeID(i%c.cfg.Nodes), &txn)
+		for _, op := range txn.Ops {
 			sample.Add(op.TupleKey(), op.DependsOn)
 		}
 		sample.EndTxn()

@@ -141,7 +141,7 @@ func (c *Cluster) installFault(plan *FaultPlan) {
 		}
 		// The redo baseline is the crashed node's partition as loaded —
 		// recovery replays committed writes on top of this image.
-		c.redoBase = clonePartition(c.ctx.Nodes[plan.Node].Store())
+		c.redoBase = c.ctx.Nodes[plan.Node].Store().Clone()
 	case SequencerCrash:
 		if c.eng.Name() != "calvin" {
 			panic(fmt.Sprintf("core: SequencerCrash on engine %q, which has no sequencer", c.eng.Name()))
@@ -322,50 +322,26 @@ func (c *Cluster) crashNode(id int, st *RecoveryStats) {
 	locks := c.ctx.Nodes[id].Locks()
 	for _, tid := range live.TableIDs() {
 		lt, rt := live.Table(tid), c.redoBase.Table(tid)
-		keys := make(map[store.Key]struct{}, lt.Rows()+rt.Rows())
-		for _, k := range lt.Keys() {
-			keys[k] = struct{}{}
-		}
-		for _, k := range rt.Keys() {
-			keys[k] = struct{}{}
-		}
-		for k := range keys {
-			if rowsEqual(lt.GetRow(k), rt.GetRow(k)) {
-				continue
+		// Every row either side materialized is compared field by field
+		// (absent reads as zero). A row both sides hold is visited twice,
+		// so the excused ones are collected as a set.
+		inDoubt := make(map[store.Key]struct{})
+		check := func(k store.Key, _ []int64) {
+			same := true
+			for f := 0; f < lt.Fields(); f++ {
+				same = same && lt.Get(k, f) == rt.Get(k, f)
 			}
-			if locks.LockedExclusive(lock.Key(store.Global(tid, k))) {
-				st.InDoubt++ // mid-update at the crash; presumed abort discards it
-				continue
-			}
-			panic(fmt.Sprintf("core: node %d recovery diverged at table %d key %d: redo %v, live %v",
-				id, tid, k, rt.GetRow(k), lt.GetRow(k)))
-		}
-	}
-}
-
-func rowsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// clonePartition deep-copies a node's store (the redo baseline image).
-func clonePartition(src *store.Store) *store.Store {
-	dst := store.New()
-	for _, tid := range src.TableIDs() {
-		t := src.Table(tid)
-		nt := dst.CreateTable(tid, t.Name(), t.Fields())
-		for _, k := range t.Keys() {
-			for f, v := range t.GetRow(k) {
-				nt.Set(k, f, v)
+			switch {
+			case same:
+			case locks.LockedExclusive(lock.Key(store.Global(tid, k))):
+				inDoubt[k] = struct{}{} // mid-update at the crash; presumed abort discards it
+			default:
+				panic(fmt.Sprintf("core: node %d recovery diverged at table %d key %d: redo %v, live %v",
+					id, tid, k, rt.GetRow(k), lt.GetRow(k)))
 			}
 		}
+		lt.Walk(check)
+		rt.Walk(check)
+		st.InDoubt += len(inDoubt)
 	}
-	return dst
 }

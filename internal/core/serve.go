@@ -117,12 +117,12 @@ func (c *Cluster) StateDigest() string {
 		for _, tid := range st.TableIDs() {
 			tbl := st.Table(tid)
 			fmt.Fprintf(h, "table %d %s\n", tid, tbl.Name())
-			for _, k := range tbl.Keys() {
+			tbl.Walk(func(k store.Key, row []int64) {
 				writeU64(uint64(k))
-				for _, v := range tbl.GetRow(k) {
+				for _, v := range row {
 					writeU64(uint64(v))
 				}
-			}
+			})
 		}
 	}
 	if c.ctx.UseSwitch {
@@ -163,9 +163,8 @@ func (c *Cluster) LogicalDigest() string {
 	for _, n := range c.ctx.Nodes {
 		st := n.Store()
 		for _, tid := range st.TableIDs() {
-			tbl := st.Table(tid)
-			for _, k := range tbl.Keys() {
-				for f, v := range tbl.GetRow(k) {
+			st.Table(tid).Walk(func(k store.Key, row []int64) {
+				for f, v := range row {
 					// Offloaded fields read from their register; fields
 					// beyond the GlobalField encoding range can never be
 					// offloaded (operations address fields 0..15).
@@ -180,7 +179,7 @@ func (c *Cluster) LogicalDigest() string {
 						entries = append(entries, entry{tid, k, f, v})
 					}
 				}
-			}
+			})
 		}
 	}
 	// Switch-resident tuples whose owner-node rows never materialized.

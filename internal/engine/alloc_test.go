@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/hotset"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/pisa"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -39,9 +41,10 @@ func TestAttemptPoolRecycleZeroAlloc(t *testing.T) {
 // TestDurableOffWriteCaptureZeroAlloc pins the durability gate's
 // allocation discipline: with Context.Durable off, the write path through
 // applyOp retains no redo images and must allocate nothing in steady
-// state — durability costs the non-durable configuration zero bytes. The
-// durable contrast run must allocate: each commit hands its capture slice
-// to the WAL by reference, so every attempt builds a fresh one.
+// state — durability costs the non-durable configuration zero bytes. With
+// Durable on the attempt captures one after-image per write, in order, in
+// a buffer it keeps across incarnations (the WAL copies what it logs), so
+// the durable path allocates nothing per attempt either.
 func TestDurableOffWriteCaptureZeroAlloc(t *testing.T) {
 	env := sim.NewEnv(1)
 	sch, err := LookupScheme(Scheme2PL)
@@ -54,21 +57,31 @@ func TestDurableOffWriteCaptureZeroAlloc(t *testing.T) {
 	c := &Context{Env: env, Nodes: []*Node{n}}
 	op := workload.Op{Table: 1, Key: 1, Field: 0, Kind: workload.Add, Value: 1, DependsOn: -1}
 
+	var captured []wal.ColdWrite
 	cycle := func() {
 		at := c.newAttempt()
 		c.applyOp(at, 0, op)
 		c.applyOp(at, 0, op)
+		captured = at.writes
 		c.releaseAttempt(at)
 	}
 	cycle() // prime the attempt pool and the undo slice capacity
 	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
 		t.Fatalf("Durable-off write path allocates %.2f objects/op, want 0", avg)
 	}
+	if len(captured) != 0 {
+		t.Fatalf("Durable-off write path captured %v", captured)
+	}
 
 	c.Durable = true
 	cycle()
-	if avg := testing.AllocsPerRun(100, cycle); avg == 0 {
-		t.Fatal("Durable-on write path allocated nothing — redo images are not being captured")
+	now := tb.Get(1, 0)
+	want := []wal.ColdWrite{{Table: 1, Key: 1, Field: 0, Value: now - 1}, {Table: 1, Key: 1, Field: 0, Value: now}}
+	if !slices.Equal(captured, want) {
+		t.Fatalf("Durable-on write path captured %v, want the two after-images %v", captured, want)
+	}
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("Durable-on write path allocates %.2f objects/op, want 0: the attempt lost its capture buffer", avg)
 	}
 }
 
@@ -181,8 +194,10 @@ func TestExecHotZeroAlloc(t *testing.T) {
 
 // TestExecWarmLocalZeroAlloc pins a single-node warm commit — cold part
 // under 2PL, switch sub-transaction inside the Decision&Switch phase — at
-// zero heap allocations with Durable off. The durable contrast run must
-// allocate: it retains the switch intent, its results and the redo images.
+// zero heap allocations per attempt, Durable off and on. A durable commit
+// leaves exactly one switch record (the intent, back-filled with GID and
+// one result per instruction) and one cold record whose writes are the
+// after-images; both are carved from the log's chunks.
 func TestExecWarmLocalZeroAlloc(t *testing.T) {
 	f := newSwitchPathFixture(t)
 	warm := f.txn(coldKey, f.apart[0], f.apart[1])
@@ -192,13 +207,34 @@ func TestExecWarmLocalZeroAlloc(t *testing.T) {
 	if got := f.n.store.Table(1).Get(coldKey, 0); got == 0 {
 		t.Fatal("the cold part never applied")
 	}
+	if s, c := len(f.n.log.SwitchRecords()), len(f.n.log.ColdRecords()); s != 0 || c != 0 {
+		t.Fatalf("Durable-off commits left %d switch and %d cold records", s, c)
+	}
 
 	f.c.Durable = true
-	if avg := f.allocsPerExecute(t, ClassWarm, warm); avg == 0 {
-		t.Fatal("Durable-on warm commit allocated nothing — intent and redo images are not being retained")
+	commits := f.c.Sw.Stats.Txns
+	if avg := f.allocsPerExecute(t, ClassWarm, warm); avg != 0 {
+		t.Fatalf("Durable-on local warm commit allocates %.2f objects/op, want 0", avg)
 	}
-	if recs := f.n.log.SwitchRecords(); len(recs) == 0 || !recs[len(recs)-1].HasGID {
-		t.Fatal("Durable-on warm commit left no completed switch record")
+	commits = f.c.Sw.Stats.Txns - commits
+	srecs, crecs := f.n.log.SwitchRecords(), f.n.log.ColdRecords()
+	if int64(len(srecs)) != commits || int64(len(crecs)) != commits {
+		t.Fatalf("%d durable commits left %d switch and %d cold records, want one of each per commit", commits, len(srecs), len(crecs))
+	}
+	for i, rec := range srecs {
+		if !rec.HasGID || len(rec.Instrs) != 2 || len(rec.Results) != 2 {
+			t.Fatalf("switch record %d: HasGID=%v, %d instructions, %d results; want a completed two-instruction intent", i, rec.HasGID, len(rec.Instrs), len(rec.Results))
+		}
+		if i > 0 && rec.GID != srecs[i-1].GID+1 {
+			t.Fatalf("switch record %d has GID %d after %d", i, rec.GID, srecs[i-1].GID)
+		}
+	}
+	row := f.n.store.Table(1).Get(coldKey, 0)
+	for i, rec := range crecs {
+		want := wal.ColdWrite{Table: 1, Key: coldKey, Value: row - int64(len(crecs)-1-i)}
+		if !rec.Committed || len(rec.Writes) != 1 || rec.Writes[0] != want {
+			t.Fatalf("cold record %d = %+v, want one committed write %+v", i, *rec, want)
+		}
 	}
 }
 

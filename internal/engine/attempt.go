@@ -145,9 +145,9 @@ func (c *Context) releaseAttempt(at *attempt) {
 	at.lm = nil
 	at.onCommit = nil
 	at.undo = at.undo[:0]
-	// writes may have been handed to the WAL by reference; the committing
-	// path nils it out, the abort path discards uncommitted images here.
-	at.writes = nil
+	// The WAL copies what it logs, so the buffer stays with the attempt;
+	// an aborting attempt's uncommitted images are discarded here.
+	at.writes = at.writes[:0]
 	c.freeAttempts = append(c.freeAttempts, at)
 }
 
@@ -498,7 +498,7 @@ func (f *coldFrame) opsDone(err error) {
 func (f *coldFrame) decided(commit bool) {
 	if commit && f.c.Durable {
 		f.n.log.AppendCold(f.at.ts, f.at.writes)
-		f.at.writes = nil // the WAL record owns the slice now
+		f.at.writes = f.at.writes[:0] // logged: logDone must not log it again
 	}
 }
 
@@ -508,7 +508,7 @@ func (f *coldFrame) committed(bool) {
 
 func (f *coldFrame) logDone() {
 	f.n.log.AppendCold(f.at.ts, f.at.writes)
-	f.at.writes = nil // the WAL record owns the slice now
+	f.at.writes = f.at.writes[:0]
 	f.n.locks.ReleaseAll(f.at.lockTxn(f.n.id))
 	f.c.charge(f.n, metrics.TxnEngine, f.t0)
 	// Local commits and distributed cold commits are both safe to recycle:
@@ -531,7 +531,7 @@ func (c *Context) commitColdK(n *Node, at *attempt, k func()) {
 	fin := func() {
 		c.Env.After(c.Costs.LogAppend, func() {
 			n.log.AppendCold(at.ts, at.writes)
-			at.writes = nil
+			at.writes = at.writes[:0]
 			n.locks.ReleaseAll(at.lockTxn(n.id))
 			c.charge(n, metrics.TxnEngine, t0)
 			k()
@@ -545,7 +545,7 @@ func (c *Context) commitColdK(n *Node, at *attempt, k func()) {
 	c.coordOf(n).CommitDecidedK(parts, func(commit bool) {
 		if commit && c.Durable {
 			n.log.AppendCold(at.ts, at.writes)
-			at.writes = nil
+			at.writes = at.writes[:0]
 		}
 	}, func(bool) { fin() })
 }

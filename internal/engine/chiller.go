@@ -69,7 +69,7 @@ func (c *Context) execChillerK(n *Node, txn *workload.Txn, k func(error)) {
 					t2 := c.Env.Now()
 					c.Env.After(c.Costs.LogAppend, func() {
 						n.log.AppendCold(at.ts, at.writes)
-						at.writes = nil
+						at.writes = at.writes[:0]
 						n.locks.ReleaseAll(at.lockTxn(n.id))
 						c.charge(n, metrics.TxnEngine, t2)
 						k(nil)

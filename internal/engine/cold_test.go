@@ -10,6 +10,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -84,9 +85,34 @@ func (f *coldFixture) row(id netsim.NodeID, key store.Key) int64 {
 	return f.c.Nodes[id].store.Table(1).Get(key, 0)
 }
 
+// checkColdLog asserts that the coordinator's log holds exactly one
+// committed record per durable commit of txn — which adds 1 to distinct
+// rows — each with one after-image per operation, in operation order: the
+// row as it stood after that commit.
+func (f *coldFixture) checkColdLog(t *testing.T, txn *workload.Txn, commits int) {
+	t.Helper()
+	recs := f.n.log.ColdRecords()
+	if len(recs) != commits {
+		t.Fatalf("%d durable commits left %d cold records, want one per commit", commits, len(recs))
+	}
+	for i, rec := range recs {
+		if !rec.Committed || len(rec.Writes) != len(txn.Ops) {
+			t.Fatalf("cold record %d = %+v, want %d committed writes", i, *rec, len(txn.Ops))
+		}
+		for j, w := range rec.Writes {
+			op := txn.Ops[j]
+			want := wal.ColdWrite{Table: 1, Key: op.Key, Value: f.row(op.Home, op.Key) - int64(commits-1-i)}
+			if w != want {
+				t.Fatalf("cold record %d write %d = %+v, want the after-image %+v", i, j, w, want)
+			}
+		}
+	}
+}
+
 // TestExecColdLocalZeroAlloc pins a single-node 2PL commit — attempt,
-// lock, apply, log, release — at zero heap allocations with Durable off.
-// The durable contrast run must allocate: it retains the redo images.
+// lock, apply, log, release — at zero heap allocations per attempt,
+// Durable off and on: a durable commit copies its after-images into the
+// log's chunks and keeps its capture buffer.
 func TestExecColdLocalZeroAlloc(t *testing.T) {
 	f := newColdFixture(t, 1, lock.NoWait)
 	txn := add(7, 0)
@@ -97,21 +123,24 @@ func TestExecColdLocalZeroAlloc(t *testing.T) {
 	if f.row(0, 7) == 0 || f.row(0, 7) != f.row(0, 8) {
 		t.Fatalf("rows = %d, %d: the writes never applied", f.row(0, 7), f.row(0, 8))
 	}
+	if got := len(f.n.log.ColdRecords()); got != 0 {
+		t.Fatalf("Durable-off commits left %d log records", got)
+	}
 
 	f.c.Durable = true
-	if avg := f.allocsPerExecute(t, txn, false); avg == 0 {
-		t.Fatal("Durable-on cold commit allocated nothing — redo images are not being retained")
+	before := f.row(0, 7)
+	if avg := f.allocsPerExecute(t, txn, false); avg != 0 {
+		t.Fatalf("Durable-on local cold commit allocates %.2f objects/op, want 0", avg)
 	}
-	if len(f.n.log.ColdRecords()) == 0 {
-		t.Fatal("Durable-on cold commit left no log record")
-	}
+	f.checkColdLog(t, txn, int(f.row(0, 7)-before))
 }
 
 // TestExecColdDistributedZeroAlloc pins a distributed 2PL/2PC commit at
-// zero heap allocations with Durable off: remote operations over RPCK, the
-// prepare and decision rounds, every participant handler. One remote
+// zero heap allocations, Durable off and on: remote operations over RPCK,
+// the prepare and decision rounds, every participant handler. One remote
 // participant takes the coordinator's single-round-trip form, two and
-// three take the parallel fan-out.
+// three take the parallel fan-out. A durable commit logs at the decision
+// point and must not log again when the decision round has landed.
 func TestExecColdDistributedZeroAlloc(t *testing.T) {
 	for remotes := 1; remotes <= 3; remotes++ {
 		f := newColdFixture(t, 4, lock.NoWait)
@@ -139,9 +168,12 @@ func TestExecColdDistributedZeroAlloc(t *testing.T) {
 		}
 
 		f.c.Durable = true
-		if avg := f.allocsPerExecute(t, add(7, homes...), false); avg == 0 {
-			t.Fatalf("%d remote participants: Durable-on commit allocated nothing", remotes)
+		before := f.row(0, 7)
+		txn := add(7, homes...)
+		if avg := f.allocsPerExecute(t, txn, false); avg != 0 {
+			t.Fatalf("%d remote participants: Durable-on commit allocates %.2f objects/op, want 0", remotes, avg)
 		}
+		f.checkColdLog(t, txn, int(f.row(0, 7)-before))
 	}
 }
 

@@ -299,13 +299,14 @@ func (c *Context) charge(n *Node, comp metrics.Component, since sim.Time) {
 // process loop continued inline after Execute returned), which keeps the
 // event-sequence draws identical to the process formulation; the stack
 // stays bounded because every engine path begins by scheduling its
-// transaction-overhead wait.
+// transaction-overhead wait. The worker owns its one Txn and refills it
+// for every draw: an engine is done with a transaction when it calls k.
 type workerSM struct {
 	c        *Context
 	eng      Engine
 	n        *Node
 	rng      *sim.RNG
-	txn      *workload.Txn
+	txn      workload.Txn
 	start    sim.Time
 	attempts int
 
@@ -328,28 +329,24 @@ func (c *Context) StartWorker(eng Engine, n *Node, rng *sim.RNG) {
 
 // begin starts the next transaction of the closed loop.
 func (sm *workerSM) begin() {
-	sm.txn = sm.c.Gen.Next(sm.rng, sm.n.id)
+	sm.c.Gen.NextInto(sm.rng, sm.n.id, &sm.txn)
 	sm.start = sm.c.Env.Now()
 	sm.attempts = 0
-	if ad := sm.c.ad; ad != nil {
-		ad.record(sm.n, sm.txn)
-		ad.exec(sm.eng, sm.n, sm.txn, sm.doneFn)
-		return
-	}
-	sm.eng.Execute(sm.c, sm.n, sm.txn, sm.doneFn)
+	sm.retry()
 }
 
-// retry re-executes the current transaction after a backoff.
+// retry executes the current transaction: its first attempt, and again
+// after each backoff.
 func (sm *workerSM) retry() {
 	if ad := sm.c.ad; ad != nil {
 		// Retries re-record: the window measures attempted traffic, so a
 		// contended tuple's weight grows with the aborts it causes and
 		// re-detection promotes the tuples doing damage first.
-		ad.record(sm.n, sm.txn)
-		ad.exec(sm.eng, sm.n, sm.txn, sm.doneFn)
+		ad.record(sm.n, &sm.txn)
+		ad.exec(sm.eng, sm.n, &sm.txn, sm.doneFn)
 		return
 	}
-	sm.eng.Execute(sm.c, sm.n, sm.txn, sm.doneFn)
+	sm.eng.Execute(sm.c, sm.n, &sm.txn, sm.doneFn)
 }
 
 // done receives the outcome of one attempt.
@@ -369,7 +366,7 @@ func (sm *workerSM) done(cls Class, err error) {
 		c.Env.After(backoff*sim.Time(sm.attempts), sm.retryFn)
 		return
 	}
-	c.accountCommit(n, cls, sm.txn, sm.start)
+	c.accountCommit(n, cls, &sm.txn, sm.start)
 	sm.begin()
 }
 

@@ -205,7 +205,7 @@ func (f *warmFrame) committed(ok bool) {
 
 func (f *warmFrame) logDone() {
 	f.n.log.AppendCold(f.at.ts, f.at.writes)
-	f.at.writes = nil // the WAL record owns the slice now
+	f.at.writes = f.at.writes[:0]
 	f.n.locks.ReleaseAll(f.at.lockTxn(f.n.id))
 	f.c.charge(f.n, metrics.TxnEngine, f.t0)
 	f.sw.countPasses(f.c, f.n)

@@ -50,12 +50,7 @@ func (c *Context) Submit(eng Engine, n *Node, txn *workload.Txn, rng *sim.RNG, k
 	sm.start = c.Env.Now()
 	sm.attempts, sm.retries = 0, 0
 	c.submitsInflight++
-	if ad := c.ad; ad != nil {
-		ad.record(n, txn)
-		ad.exec(eng, n, txn, sm.doneFn)
-		return
-	}
-	eng.Execute(c, n, txn, sm.doneFn)
+	sm.retry()
 }
 
 // classAdapter bridges a scheme's k(error) continuation to the engine
@@ -99,7 +94,8 @@ func (c *Context) SubmitsInflight() int { return c.submitsInflight }
 // SubmitsDone returns the number of submitted transactions committed.
 func (c *Context) SubmitsDone() int64 { return c.submitsDone }
 
-// retry re-executes after a backoff.
+// retry executes the transaction: its first attempt, and again after each
+// backoff.
 func (sm *submitSM) retry() {
 	if ad := sm.c.ad; ad != nil {
 		// See workerSM.retry: retries re-record so contended tuples gain

@@ -208,6 +208,7 @@ func runConn(cfg Config, addr string, connIdx uint64, deadline time.Time, rate f
 	}
 	next := time.Now()
 	var sendFailed error
+	var txn workload.Txn // Send serializes it before the next draw refills it
 loop:
 	for time.Now().Before(deadline) {
 		if interval > 0 {
@@ -235,12 +236,12 @@ loop:
 			}
 		}
 		origin := netsim.NodeID(rng.Intn(cfg.Nodes))
-		txn := gen.Next(rng, origin)
+		gen.NextInto(rng, origin, &txn)
 		// The timestamp must be installed before Send: the auto-flushing
 		// writer can push the frame inside Send, and the reply races
 		// anything stored after.
 		sendNanos[cl.PeekID()&mask].Store(time.Now().UnixNano())
-		if _, err := cl.Send(txn, origin); err != nil {
+		if _, err := cl.Send(&txn, origin); err != nil {
 			sendFailed = err
 			break
 		}

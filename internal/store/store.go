@@ -1,17 +1,19 @@
 // Package store is the per-node in-memory storage engine of the host
-// DBMS: partitioned tables of fixed-schema rows with primary and optional
-// secondary indexes.
+// DBMS: partitioned tables of fixed-schema rows behind a primary index.
 //
 // Rows are arrays of int64 fields — the same fixed-point representation
 // the switch registers use — so a tuple can move between a node and the
 // switch without conversion. Tables are lazily materialized: absent keys
 // read as zero-filled rows, which lets benchmarks declare billion-row
-// keyspaces (YCSB) without allocating them.
+// keyspaces (YCSB) without allocating them. A table keeps its rows back
+// to back in one slab, so materializing a row allocates nothing beyond
+// the slab's and the index's amortized growth.
 package store
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // TableID identifies a table within a node (dense, small).
@@ -60,7 +62,8 @@ type Table struct {
 	id     TableID
 	name   string
 	fields int
-	rows   map[Key][]int64
+	index  map[Key]uint32 // key -> row number, in materialization order
+	slab   []int64        // row r is slab[r*fields : (r+1)*fields]
 }
 
 // NewTable creates an empty table partition with the given row schema
@@ -69,7 +72,7 @@ func NewTable(id TableID, name string, fields int) *Table {
 	if fields <= 0 {
 		panic("store: table needs at least one field")
 	}
-	return &Table{id: id, name: name, fields: fields, rows: make(map[Key][]int64)}
+	return &Table{id: id, name: name, fields: fields, index: make(map[Key]uint32)}
 }
 
 // ID returns the table id.
@@ -82,59 +85,67 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) Fields() int { return t.fields }
 
 // Rows returns the number of materialized rows.
-func (t *Table) Rows() int { return len(t.rows) }
+func (t *Table) Rows() int { return len(t.index) }
 
 // Get returns field f of the row at key; absent rows read as zero.
 func (t *Table) Get(k Key, f int) int64 {
 	t.checkField(f)
-	row, ok := t.rows[k]
+	r, ok := t.index[k]
 	if !ok {
 		return 0
 	}
-	return row[f]
+	return t.slab[int(r)*t.fields+f]
 }
 
 // GetRow returns a copy of the full row (zeros if absent).
 func (t *Table) GetRow(k Key) []int64 {
 	out := make([]int64, t.fields)
-	copy(out, t.rows[k])
+	if r, ok := t.index[k]; ok {
+		copy(out, t.slab[int(r)*t.fields:])
+	}
 	return out
+}
+
+// field returns the slab position of field f of the row at key,
+// materializing the row.
+func (t *Table) field(k Key, f int) *int64 {
+	t.checkField(f)
+	r, ok := t.index[k]
+	if !ok {
+		r = uint32(len(t.index))
+		t.index[k] = r
+		t.slab = append(t.slab, make([]int64, t.fields)...) // extends in place, no temporary
+	}
+	return &t.slab[int(r)*t.fields+f]
 }
 
 // Set stores v into field f of the row at key, materializing it.
-func (t *Table) Set(k Key, f int, v int64) {
-	t.checkField(f)
-	row, ok := t.rows[k]
-	if !ok {
-		row = make([]int64, t.fields)
-		t.rows[k] = row
-	}
-	row[f] = v
-}
+func (t *Table) Set(k Key, f int, v int64) { *t.field(k, f) = v }
 
 // Add increments field f by delta and returns the new value.
 func (t *Table) Add(k Key, f int, delta int64) int64 {
-	t.checkField(f)
-	row, ok := t.rows[k]
-	if !ok {
-		row = make([]int64, t.fields)
-		t.rows[k] = row
-	}
-	row[f] += delta
-	return row[f]
+	p := t.field(k, f)
+	*p += delta
+	return *p
 }
-
-// Delete removes the row at key (absent is a no-op).
-func (t *Table) Delete(k Key) { delete(t.rows, k) }
 
 // Keys returns all materialized keys in sorted order (tests and recovery).
 func (t *Table) Keys() []Key {
-	out := make([]Key, 0, len(t.rows))
-	for k := range t.rows {
+	out := make([]Key, 0, len(t.index))
+	for k := range t.index {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// Walk calls fn for every materialized row in ascending key order. row
+// aliases the table: it is valid until fn returns and must not be written.
+func (t *Table) Walk(fn func(k Key, row []int64)) {
+	for _, k := range t.Keys() {
+		at := int(t.index[k]) * t.fields
+		fn(k, t.slab[at:at+t.fields])
+	}
 }
 
 func (t *Table) checkField(f int) {
@@ -145,19 +156,20 @@ func (t *Table) checkField(f int) {
 
 // Store is one node's collection of table partitions.
 type Store struct {
-	tables map[TableID]*Table
+	tables []*Table // indexed by TableID; nil where no table was created
 }
 
 // New creates an empty store.
-func New() *Store {
-	return &Store{tables: make(map[TableID]*Table)}
-}
+func New() *Store { return &Store{} }
 
 // CreateTable registers a table partition. It panics on duplicate ids —
 // schema setup bugs should fail fast.
 func (s *Store) CreateTable(id TableID, name string, fields int) *Table {
-	if _, dup := s.tables[id]; dup {
+	if s.Lookup(id) != nil {
 		panic(fmt.Sprintf("store: duplicate table id %d", id))
+	}
+	for len(s.tables) <= int(id) {
+		s.tables = append(s.tables, nil)
 	}
 	t := NewTable(id, name, fields)
 	s.tables[id] = t
@@ -168,6 +180,9 @@ func (s *Store) CreateTable(id TableID, name string, fields int) *Table {
 // created. The serving path uses it to validate wire-supplied table ids
 // without tripping Table's schema-mismatch panic.
 func (s *Store) Lookup(id TableID) *Table {
+	if int(id) >= len(s.tables) {
+		return nil
+	}
 	return s.tables[id]
 }
 
@@ -175,48 +190,34 @@ func (s *Store) Lookup(id TableID) *Table {
 // the deterministic iteration a state digest needs.
 func (s *Store) TableIDs() []TableID {
 	ids := make([]TableID, 0, len(s.tables))
-	for id := range s.tables {
-		ids = append(ids, id)
+	for id, t := range s.tables {
+		if t != nil {
+			ids = append(ids, TableID(id))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
 // Table returns the partition for id; it panics if the table was never
 // created (a schema mismatch, not a runtime condition).
 func (s *Store) Table(id TableID) *Table {
-	t, ok := s.tables[id]
-	if !ok {
+	t := s.Lookup(id)
+	if t == nil {
 		panic(fmt.Sprintf("store: unknown table id %d", id))
 	}
 	return t
 }
 
-// SecondaryIndex maps a secondary attribute value to a primary key. P4DB
-// keeps secondary indexes on the database nodes even for hot tuples
-// (Section 6.1): a lookup first resolves the secondary key here and only
-// then consults the hot index.
-type SecondaryIndex struct {
-	name string
-	m    map[int64]Key
+// Clone returns a deep copy of the store: same tables, same rows, nothing
+// shared with the original.
+func (s *Store) Clone() *Store {
+	c := &Store{tables: make([]*Table, len(s.tables))}
+	for id, t := range s.tables {
+		if t != nil {
+			ct := *t
+			ct.index, ct.slab = maps.Clone(t.index), slices.Clone(t.slab)
+			c.tables[id] = &ct
+		}
+	}
+	return c
 }
-
-// NewSecondaryIndex creates an empty index.
-func NewSecondaryIndex(name string) *SecondaryIndex {
-	return &SecondaryIndex{name: name, m: make(map[int64]Key)}
-}
-
-// Put inserts or overwrites a mapping.
-func (ix *SecondaryIndex) Put(attr int64, pk Key) { ix.m[attr] = pk }
-
-// Lookup resolves a secondary attribute to a primary key.
-func (ix *SecondaryIndex) Lookup(attr int64) (Key, bool) {
-	pk, ok := ix.m[attr]
-	return pk, ok
-}
-
-// Delete removes a mapping.
-func (ix *SecondaryIndex) Delete(attr int64) { delete(ix.m, attr) }
-
-// Len returns the number of entries.
-func (ix *SecondaryIndex) Len() int { return len(ix.m) }

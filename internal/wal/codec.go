@@ -122,21 +122,19 @@ func (l *Log) decodeRecord(p []byte) error {
 	p = p[1:]
 	switch kind {
 	case kindSwitch:
-		rec := new(SwitchRecord)
 		if len(p) < 8+1+8+2 {
 			return fmt.Errorf("switch record header truncated")
 		}
-		rec.TxnID = binary.BigEndian.Uint64(p)
-		rec.HasGID = p[8]&1 != 0
-		rec.GID = binary.BigEndian.Uint64(p[9:])
 		nInstr := int(binary.BigEndian.Uint16(p[17:]))
-		p = p[19:]
-		if nInstr > maxCount || len(p) < 15*nInstr {
+		if nInstr > maxCount || len(p) < 19+15*nInstr {
 			return fmt.Errorf("instruction list truncated")
 		}
-		if nInstr > 0 {
-			rec.Instrs = make([]txnwire.Instr, nInstr)
-		}
+		// A record that fails further down stays appended: UnmarshalLog
+		// drops the whole log on error.
+		rec := l.newSwitchRecord(binary.BigEndian.Uint64(p), nInstr)
+		rec.HasGID = p[8]&1 != 0
+		rec.GID = binary.BigEndian.Uint64(p[9:])
+		p = p[19:]
 		for i := range rec.Instrs {
 			in := &rec.Instrs[i]
 			in.Op = txnwire.Op(p[0])
@@ -157,30 +155,24 @@ func (l *Log) decodeRecord(p []byte) error {
 			return fmt.Errorf("result list length mismatch")
 		}
 		if nRes > 0 {
-			rec.Results = make([]txnwire.Result, nRes)
-			for i := range rec.Results {
-				rec.Results[i].Value = int64(binary.BigEndian.Uint64(p))
-				rec.Results[i].OK = p[8] != 0
-				p = p[9:]
-			}
+			rec.Results = rec.room
 		}
-		l.switchRecs = append(l.switchRecs, rec)
+		for ; nRes > 0; nRes-- {
+			rec.Results = append(rec.Results, txnwire.Result{Value: int64(binary.BigEndian.Uint64(p)), OK: p[8] != 0})
+			p = p[9:]
+		}
 	case kindCold:
-		rec := new(ColdRecord)
 		if len(p) < 8+8+1+2 {
 			return fmt.Errorf("cold record header truncated")
 		}
-		rec.TxnID = binary.BigEndian.Uint64(p)
-		rec.LSN = binary.BigEndian.Uint64(p[8:])
-		rec.Committed = p[16] != 0
 		nW := int(binary.BigEndian.Uint16(p[17:]))
-		p = p[19:]
-		if nW > maxCount || len(p) != 18*nW {
+		if nW > maxCount || len(p) != 19+18*nW {
 			return fmt.Errorf("write list length mismatch")
 		}
-		if nW > 0 {
-			rec.Writes = make([]ColdWrite, nW)
-		}
+		rec := l.newColdRecord(binary.BigEndian.Uint64(p), nW)
+		rec.LSN = binary.BigEndian.Uint64(p[8:])
+		rec.Committed = p[16] != 0
+		p = p[19:]
 		for i := range rec.Writes {
 			w := &rec.Writes[i]
 			w.Table = store.TableID(p[0])
@@ -189,7 +181,6 @@ func (l *Log) decodeRecord(p []byte) error {
 			w.Value = int64(binary.BigEndian.Uint64(p[10:]))
 			p = p[18:]
 		}
-		l.coldRecs = append(l.coldRecs, rec)
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
 	}

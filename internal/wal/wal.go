@@ -36,6 +36,11 @@ type SwitchRecord struct {
 	// Results mirror the switch response (one per instruction); present
 	// only when HasGID.
 	Results []txnwire.Result
+
+	// room is the space reserved at intent time for the back-fill (length
+	// zero, capacity one result per instruction), so Complete allocates
+	// nothing and Results stays nil until then.
+	room []txnwire.Result
 }
 
 // ColdWrite is one redo entry of a cold sub-transaction.
@@ -59,12 +64,44 @@ type ColdRecord struct {
 	Committed bool
 }
 
-// Log is one node's write-ahead log.
+// Chunk sizes of a log's slabs: records per chunk, and instructions,
+// results or redo writes per chunk.
+const (
+	recChunk  = 512
+	elemChunk = 4096
+)
+
+// Log is one node's write-ahead log. Records and their instruction, result
+// and write lists are carved from chunks that are never reallocated, so a
+// record pointer stays valid — and its lists stay where they are — for as
+// long as the log lives, and appending allocates once per chunk.
 type Log struct {
 	nodeID     int
 	now        func() uint64
 	switchRecs []*SwitchRecord
 	coldRecs   []*ColdRecord
+
+	// The unused remainder of each slab's current chunk.
+	switchSlab []SwitchRecord
+	coldSlab   []ColdRecord
+	instrSlab  []txnwire.Instr
+	resultSlab []txnwire.Result
+	writeSlab  []ColdWrite
+}
+
+// carve cuts n zeroed elements off *slab, starting a new chunk when the
+// current one has fewer left. The result's capacity is n: appending to it
+// cannot reach a neighbour.
+func carve[T any](slab *[]T, n, chunk int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(*slab) < n {
+		*slab = make([]T, max(n, chunk))
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
 }
 
 // NewLog creates an empty log for the given node.
@@ -78,33 +115,59 @@ func (l *Log) NodeID() int { return l.nodeID }
 // records are ordered only within one log.
 func (l *Log) SetClock(now func() uint64) { l.now = now }
 
-// AppendSwitchIntent logs the intent of a switch transaction before it is
-// sent and returns the record so the caller can back-fill the response.
-func (l *Log) AppendSwitchIntent(txnID uint64, instrs []txnwire.Instr) *SwitchRecord {
-	rec := &SwitchRecord{TxnID: txnID, Instrs: append([]txnwire.Instr(nil), instrs...)}
+// newSwitchRecord appends a record with n zeroed instructions and room for
+// as many results.
+func (l *Log) newSwitchRecord(txnID uint64, n int) *SwitchRecord {
+	rec := &carve(&l.switchSlab, 1, recChunk)[0]
+	rec.TxnID = txnID
+	rec.Instrs = carve(&l.instrSlab, n, elemChunk)
+	rec.room = carve(&l.resultSlab, n, elemChunk)[:0]
 	l.switchRecs = append(l.switchRecs, rec)
 	return rec
 }
 
-// Complete back-fills the switch response into the record.
+// newColdRecord appends a record with n zeroed writes.
+func (l *Log) newColdRecord(txnID uint64, n int) *ColdRecord {
+	rec := &carve(&l.coldSlab, 1, recChunk)[0]
+	rec.TxnID = txnID
+	rec.Writes = carve(&l.writeSlab, n, elemChunk)
+	l.coldRecs = append(l.coldRecs, rec)
+	return rec
+}
+
+// AppendSwitchIntent logs the intent of a switch transaction before it is
+// sent — a copy of instrs — and returns the record so the caller can
+// back-fill the response.
+func (l *Log) AppendSwitchIntent(txnID uint64, instrs []txnwire.Instr) *SwitchRecord {
+	rec := l.newSwitchRecord(txnID, len(instrs))
+	copy(rec.Instrs, instrs)
+	return rec
+}
+
+// Complete back-fills the switch response into the record, into the space
+// reserved with the intent.
 func (r *SwitchRecord) Complete(resp *txnwire.Response) {
 	r.HasGID = true
 	r.GID = resp.GID
-	r.Results = append([]txnwire.Result(nil), resp.Results...)
+	if len(resp.Results) > 0 {
+		r.Results = append(r.room, resp.Results...)
+	}
 }
 
-// AppendCold logs a cold commit record. Read-only commits (no writes)
-// leave no record: there is nothing to redo, and skipping them keeps the
-// serving-mode read path allocation-free.
+// AppendCold logs a cold commit record holding a copy of writes, which
+// stay the caller's. Read-only commits (no writes) leave no record: there
+// is nothing to redo, and skipping them keeps the serving-mode read path
+// free of log work.
 func (l *Log) AppendCold(txnID uint64, writes []ColdWrite) {
 	if len(writes) == 0 {
 		return
 	}
-	var lsn uint64
+	rec := l.newColdRecord(txnID, len(writes))
 	if l.now != nil {
-		lsn = l.now()
+		rec.LSN = l.now()
 	}
-	l.coldRecs = append(l.coldRecs, &ColdRecord{TxnID: txnID, LSN: lsn, Writes: writes, Committed: true})
+	copy(rec.Writes, writes)
+	rec.Committed = true
 }
 
 // SwitchRecords returns the log's switch records in append order.

@@ -78,16 +78,12 @@ type DriftConfig struct {
 type Drift struct {
 	cfg   DriftConfig
 	clock func() sim.Time
-
-	zipfGlobal *Zipf
-	zipfLocal  *Zipf
+	zipf  zipfPair
 }
 
 // NewDrift validates the configuration and returns a generator.
 func NewDrift(cfg DriftConfig) *Drift {
-	if cfg.NumNodes <= 0 || cfg.RowsPerNode <= 0 || cfg.OpsPerTxn <= 0 {
-		panic("workload: invalid drift config")
-	}
+	cfg.validate((!cfg.Zipfian && cfg.HotTxnPct > 0) || cfg.Mode == DriftFlash)
 	if cfg.PhaseLen <= 0 {
 		panic("workload: drift config needs PhaseLen > 0")
 	}
@@ -100,15 +96,7 @@ func NewDrift(cfg DriftConfig) *Drift {
 	if cfg.FlashPct == 0 {
 		cfg.FlashPct = 75
 	}
-	if int64(cfg.HotPerNode) > cfg.RowsPerNode {
-		panic("workload: hot set larger than partition")
-	}
-	d := &Drift{cfg: cfg}
-	if cfg.Zipfian {
-		d.zipfGlobal = NewZipf(cfg.RowsPerNode*int64(cfg.NumNodes), cfg.Theta)
-		d.zipfLocal = NewZipf(cfg.RowsPerNode, cfg.Theta)
-	}
-	return d
+	return &Drift{cfg: cfg, zipf: cfg.samplers()}
 }
 
 // SetClock implements ClockDriven.
@@ -177,118 +165,66 @@ func (d *Drift) rotation(p int) int64 {
 }
 
 // Next implements Generator.
-func (d *Drift) Next(rng *sim.RNG, self netsim.NodeID) *Txn {
+func (d *Drift) Next(rng *sim.RNG, self netsim.NodeID) *Txn { return nextFresh(d, rng, self) }
+
+// NextInto implements Generator.
+func (d *Drift) NextInto(rng *sim.RNG, self netsim.NodeID, txn *Txn) {
+	cfg := &d.cfg
+	txn.Label = "YCSB-drift"
+	txn.reset(cfg.OpsPerTxn)
 	p := d.phase()
-	if d.cfg.Mode == DriftFlash && p >= 1 && rng.Bool(d.cfg.FlashPct) {
-		return d.nextFlash(rng, self)
+	if cfg.Mode == DriftFlash && p >= 1 && rng.Bool(cfg.FlashPct) {
+		txn.Label = "YCSB-flash"
+		d.flashInto(rng, self, txn)
+		return
 	}
 	var rot int64
-	if d.cfg.Mode == DriftRotate {
+	if cfg.Mode == DriftRotate {
 		rot = d.rotation(p)
 	}
-	if d.cfg.Zipfian {
-		return d.nextZipf(rng, self, rot)
+	if cfg.Zipfian {
+		// The distribution's head — and with it the detectable hot set —
+		// moves to a formerly cold range each phase.
+		cfg.zipfInto(d.zipf, rng, self, rot, txn)
+		return
 	}
-	return d.nextTwoLevel(rng, self, rot)
+	d.twoLevelInto(rng, self, rot, txn)
 }
 
-// nextTwoLevel is YCSB's two-level hot/cold transaction body with the hot
+// twoLevelInto is YCSB's two-level hot/cold transaction body with the hot
 // region rotated by rot keys into the partition. Cold keys draw uniformly
 // over the whole partition (at billion-row partitions the overlap with
 // the small hot region is negligible).
-func (d *Drift) nextTwoLevel(rng *sim.RNG, self netsim.NodeID, rot int64) *Txn {
-	hot := rng.Bool(d.cfg.HotTxnPct)
-	dist := rng.Bool(d.cfg.DistPct)
-	txn := &Txn{Label: "YCSB-drift", Ops: make([]Op, 0, d.cfg.OpsPerTxn)}
-	seen := make(map[store.Key]struct{}, d.cfg.OpsPerTxn)
-	for len(txn.Ops) < d.cfg.OpsPerTxn {
+func (d *Drift) twoLevelInto(rng *sim.RNG, self netsim.NodeID, rot int64, txn *Txn) {
+	cfg := &d.cfg
+	hot := rng.Bool(cfg.HotTxnPct)
+	dist := rng.Bool(cfg.DistPct)
+	for len(txn.Ops) < cfg.OpsPerTxn {
 		node := self
 		if dist {
-			node = netsim.NodeID(rng.Intn(d.cfg.NumNodes))
+			node = netsim.NodeID(rng.Intn(cfg.NumNodes))
 		}
-		var off int64
 		if hot {
-			// Congruence-class draw within the rotated hot region (see
-			// YCSB.Next for why classes keep hot transactions single-pass).
-			j := len(txn.Ops)
-			classSize := (d.cfg.HotPerNode - j + d.cfg.OpsPerTxn - 1) / d.cfg.OpsPerTxn
-			off = (rot + int64(j+d.cfg.OpsPerTxn*rng.Intn(classSize))) % d.cfg.RowsPerNode
+			cfg.add(rng, txn, node, (rot+cfg.classDraw(rng, len(txn.Ops)))%cfg.RowsPerNode)
 		} else {
-			off = rng.Int63n(d.cfg.RowsPerNode)
+			cfg.add(rng, txn, node, rng.Int63n(cfg.RowsPerNode))
 		}
-		key := store.Key(int64(node)*d.cfg.RowsPerNode + off)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		txn.Ops = append(txn.Ops, d.op(rng, node, key))
 	}
-	return txn
 }
 
-// nextZipf is YCSB's Zipfian transaction body with the rank→key mapping
-// rotated by rot keys within every partition: the distribution's head —
-// and with it the detectable hot set — moves to a formerly cold range
-// each phase.
-func (d *Drift) nextZipf(rng *sim.RNG, self netsim.NodeID, rot int64) *Txn {
-	dist := rng.Bool(d.cfg.DistPct)
-	nodes := int64(d.cfg.NumNodes)
-	txn := &Txn{Label: "YCSB-drift", Ops: make([]Op, 0, d.cfg.OpsPerTxn)}
-	seen := make(map[store.Key]struct{}, d.cfg.OpsPerTxn)
-	for len(txn.Ops) < d.cfg.OpsPerTxn {
-		node := self
-		var off int64
-		if dist {
-			r := d.zipfGlobal.Next(rng)
-			node = netsim.NodeID(r % nodes)
-			off = (r/nodes + rot) % d.cfg.RowsPerNode
-		} else {
-			off = (d.zipfLocal.Next(rng) + rot) % d.cfg.RowsPerNode
-		}
-		key := store.Key(int64(node)*d.cfg.RowsPerNode + off)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		txn.Ops = append(txn.Ops, d.op(rng, node, key))
-	}
-	return txn
-}
-
-// nextFlash is the flash-crowd transaction body: every operation draws
+// flashInto is the flash-crowd transaction body: every operation draws
 // from the small flash range, in congruence classes like a two-level hot
 // transaction so the flash set is single-pass layoutable.
-func (d *Drift) nextFlash(rng *sim.RNG, self netsim.NodeID) *Txn {
-	dist := rng.Bool(d.cfg.DistPct)
-	txn := &Txn{Label: "YCSB-flash", Ops: make([]Op, 0, d.cfg.OpsPerTxn)}
-	seen := make(map[store.Key]struct{}, d.cfg.OpsPerTxn)
-	for len(txn.Ops) < d.cfg.OpsPerTxn {
+func (d *Drift) flashInto(rng *sim.RNG, self netsim.NodeID, txn *Txn) {
+	cfg := &d.cfg
+	dist := rng.Bool(cfg.DistPct)
+	for len(txn.Ops) < cfg.OpsPerTxn {
 		node := self
 		if dist {
-			node = netsim.NodeID(rng.Intn(d.cfg.NumNodes))
+			node = netsim.NodeID(rng.Intn(cfg.NumNodes))
 		}
-		j := len(txn.Ops)
-		classSize := (d.cfg.HotPerNode - j + d.cfg.OpsPerTxn - 1) / d.cfg.OpsPerTxn
-		off := (d.cfg.FlashBase + int64(j+d.cfg.OpsPerTxn*rng.Intn(classSize))) % d.cfg.RowsPerNode
-		key := store.Key(int64(node)*d.cfg.RowsPerNode + off)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		txn.Ops = append(txn.Ops, d.op(rng, node, key))
+		cfg.add(rng, txn, node, (cfg.FlashBase+cfg.classDraw(rng, len(txn.Ops)))%cfg.RowsPerNode)
 	}
-	return txn
-}
-
-// op draws the read/write kind and value for one operation.
-func (d *Drift) op(rng *sim.RNG, node netsim.NodeID, key store.Key) Op {
-	kind := Read
-	var val int64
-	if rng.Bool(d.cfg.WritePct) {
-		kind = Write
-		val = int64(rng.Uint32())
-	}
-	return Op{Table: YCSBTable, Key: key, Field: 0, Home: node, Kind: kind, Value: val, DependsOn: -1}
 }
 
 // DefaultDrift returns the drift-figure base configuration: YCSB-A at the

@@ -99,10 +99,14 @@ func (sb *SmallBank) account(rng *sim.RNG, node netsim.NodeID, hot bool) store.K
 	return store.Key(base + off)
 }
 
-// Next implements Generator. The mix gives Balance (the only read-only
-// type) 15% — the paper's fixed read ratio — and splits the remainder
-// evenly over the five update types.
-func (sb *SmallBank) Next(rng *sim.RNG, self netsim.NodeID) *Txn {
+// Next implements Generator.
+func (sb *SmallBank) Next(rng *sim.RNG, self netsim.NodeID) *Txn { return nextFresh(sb, rng, self) }
+
+// NextInto implements Generator. The mix gives Balance (the only
+// read-only type) 15% — the paper's fixed read ratio — and splits the
+// remainder evenly over the five update types.
+func (sb *SmallBank) NextInto(rng *sim.RNG, self netsim.NodeID, txn *Txn) {
+	txn.reset(3)
 	hot := rng.Bool(sb.cfg.HotTxnPct)
 	dist := rng.Bool(sb.cfg.DistPct)
 	nodeFor := func() netsim.NodeID {
@@ -139,36 +143,36 @@ func (sb *SmallBank) Next(rng *sim.RNG, self netsim.NodeID) *Txn {
 
 	switch rng.Intn(100) {
 	case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14: // 15%: Balance
-		return &Txn{Label: "Balance", Ops: []Op{
-			{Table: SBChecking, Key: a, Home: homeA, Kind: Read, DependsOn: -1},
-			{Table: SBSavings, Key: a, Home: homeA, Kind: Read, DependsOn: -1},
-		}}
+		txn.Label = "Balance"
+		txn.Ops = append(txn.Ops,
+			Op{Table: SBChecking, Key: a, Home: homeA, Kind: Read, DependsOn: -1},
+			Op{Table: SBSavings, Key: a, Home: homeA, Kind: Read, DependsOn: -1})
 	default:
 		switch rng.Intn(5) {
-		case 0: // DepositChecking
-			return &Txn{Label: "DepositChecking", Ops: []Op{
-				{Table: SBChecking, Key: a, Home: homeA, Kind: Add, Value: amount, DependsOn: -1},
-			}}
-		case 1: // TransactSavings (withdrawal with non-negative constraint)
-			return &Txn{Label: "TransactSavings", Ops: []Op{
-				{Table: SBSavings, Key: a, Home: homeA, Kind: CondAddGE0, Value: -amount, DependsOn: -1},
-			}}
-		case 2: // Amalgamate: move all funds of A into B's checking
-			return &Txn{Label: "Amalgamate", Ops: []Op{
-				{Table: SBSavings, Key: a, Home: homeA, Kind: ReadClear, DependsOn: -1},
-				{Table: SBChecking, Key: a, Home: homeA, Kind: ReadClear, DependsOn: 0},
-				{Table: SBChecking, Key: b, Home: homeB, Kind: AddAcc, DependsOn: 1},
-			}}
-		case 3: // WriteCheck: read savings, conditionally debit checking
-			return &Txn{Label: "WriteCheck", Ops: []Op{
-				{Table: SBSavings, Key: a, Home: homeA, Kind: Read, DependsOn: -1},
-				{Table: SBChecking, Key: a, Home: homeA, Kind: CondAddGE0, Value: -amount, DependsOn: 0},
-			}}
-		default: // SendPayment: debit A, credit B only if the debit held
-			return &Txn{Label: "SendPayment", Ops: []Op{
-				{Table: SBChecking, Key: a, Home: homeA, Kind: CondAddGE0, Value: -amount, DependsOn: -1},
-				{Table: SBChecking, Key: b, Home: homeB, Kind: AddIfOK, Value: amount, DependsOn: 0},
-			}}
+		case 0:
+			txn.Label = "DepositChecking"
+			txn.Ops = append(txn.Ops,
+				Op{Table: SBChecking, Key: a, Home: homeA, Kind: Add, Value: amount, DependsOn: -1})
+		case 1: // withdrawal with non-negative constraint
+			txn.Label = "TransactSavings"
+			txn.Ops = append(txn.Ops,
+				Op{Table: SBSavings, Key: a, Home: homeA, Kind: CondAddGE0, Value: -amount, DependsOn: -1})
+		case 2: // move all funds of A into B's checking
+			txn.Label = "Amalgamate"
+			txn.Ops = append(txn.Ops,
+				Op{Table: SBSavings, Key: a, Home: homeA, Kind: ReadClear, DependsOn: -1},
+				Op{Table: SBChecking, Key: a, Home: homeA, Kind: ReadClear, DependsOn: 0},
+				Op{Table: SBChecking, Key: b, Home: homeB, Kind: AddAcc, DependsOn: 1})
+		case 3: // read savings, conditionally debit checking
+			txn.Label = "WriteCheck"
+			txn.Ops = append(txn.Ops,
+				Op{Table: SBSavings, Key: a, Home: homeA, Kind: Read, DependsOn: -1},
+				Op{Table: SBChecking, Key: a, Home: homeA, Kind: CondAddGE0, Value: -amount, DependsOn: 0})
+		default: // debit A, credit B only if the debit held
+			txn.Label = "SendPayment"
+			txn.Ops = append(txn.Ops,
+				Op{Table: SBChecking, Key: a, Home: homeA, Kind: CondAddGE0, Value: -amount, DependsOn: -1},
+				Op{Table: SBChecking, Key: b, Home: homeB, Kind: AddIfOK, Value: amount, DependsOn: 0})
 		}
 	}
 }

@@ -154,18 +154,22 @@ func (tc *TPCC) Home(t store.TableID, k store.Key) netsim.NodeID {
 	panic("workload: unknown TPC-C table")
 }
 
-// Next implements Generator: the NewOrder/Payment mix of Section 7.2.
-func (tc *TPCC) Next(rng *sim.RNG, self netsim.NodeID) *Txn {
+// Next implements Generator.
+func (tc *TPCC) Next(rng *sim.RNG, self netsim.NodeID) *Txn { return nextFresh(tc, rng, self) }
+
+// NextInto implements Generator: the NewOrder/Payment mix of Section 7.2.
+func (tc *TPCC) NextInto(rng *sim.RNG, self netsim.NodeID, txn *Txn) {
 	localWH := int(self)*tc.whPerNode() + rng.Intn(tc.whPerNode())
 	if rng.Bool(tc.cfg.PaymentPct) {
-		return tc.payment(rng, self, localWH)
+		tc.payment(rng, localWH, txn)
+		return
 	}
-	return tc.newOrder(rng, self, localWH)
+	tc.newOrder(rng, self, localWH, txn)
 }
 
 // payment updates the warehouse and district YTD totals (both hot) and the
 // paying customer's balance (cold; remote with probability DistPct).
-func (tc *TPCC) payment(rng *sim.RNG, self netsim.NodeID, wh int) *Txn {
+func (tc *TPCC) payment(rng *sim.RNG, wh int, txn *Txn) {
 	d := rng.Intn(tc.cfg.DistrictsPerWH)
 	amount := int64(rng.Intn(5000) + 1)
 	custWH := wh
@@ -174,33 +178,34 @@ func (tc *TPCC) payment(rng *sim.RNG, self netsim.NodeID, wh int) *Txn {
 	}
 	c := rng.Intn(tc.cfg.CustomersPerDis)
 	custKey := tc.customerKey(custWH, d, c)
-	return &Txn{Label: "Payment", Ops: []Op{
-		{Table: TPCCWarehouse, Key: store.Key(wh), Field: 0, Home: tc.homeOfWH(wh),
+	txn.Label = "Payment"
+	txn.reset(5)
+	txn.Ops = append(txn.Ops,
+		Op{Table: TPCCWarehouse, Key: store.Key(wh), Field: 0, Home: tc.homeOfWH(wh),
 			Kind: Add, Value: amount, DependsOn: -1},
-		{Table: TPCCDistrict, Key: tc.districtKey(wh, d), Field: DistYTD, Home: tc.homeOfWH(wh),
+		Op{Table: TPCCDistrict, Key: tc.districtKey(wh, d), Field: DistYTD, Home: tc.homeOfWH(wh),
 			Kind: Add, Value: amount, DependsOn: -1},
-		{Table: TPCCCustomer, Key: custKey, Field: 0, Home: tc.homeOfWH(custWH),
+		Op{Table: TPCCCustomer, Key: custKey, Field: 0, Home: tc.homeOfWH(custWH),
 			Kind: Add, Value: -amount, DependsOn: -1},
-		{Table: TPCCCustomer, Key: custKey, Field: 1, Home: tc.homeOfWH(custWH),
+		Op{Table: TPCCCustomer, Key: custKey, Field: 1, Home: tc.homeOfWH(custWH),
 			Kind: Add, Value: amount, DependsOn: -1},
-		{Table: TPCCCustomer, Key: custKey, Field: 2, Home: tc.homeOfWH(custWH),
-			Kind: Add, Value: 1, DependsOn: -1},
-	}}
+		Op{Table: TPCCCustomer, Key: custKey, Field: 2, Home: tc.homeOfWH(custWH),
+			Kind: Add, Value: 1, DependsOn: -1})
 }
 
 // newOrder increments the district's next-order-id (hot), updates stock
 // quantities of 5-15 ordered items (hot for popular items; remote
 // warehouse with probability DistPct per item), reads item prices, and
 // inserts the order (cold fresh-key writes).
-func (tc *TPCC) newOrder(rng *sim.RNG, self netsim.NodeID, wh int) *Txn {
+func (tc *TPCC) newOrder(rng *sim.RNG, self netsim.NodeID, wh int, txn *Txn) {
 	d := rng.Intn(tc.cfg.DistrictsPerWH)
 	nItems := rng.Intn(11) + 5
-	ops := make([]Op, 0, nItems*2+3)
-	ops = append(ops, Op{
+	txn.Label = "NewOrder"
+	txn.reset(nItems*2 + 3)
+	txn.Ops = append(txn.Ops, Op{
 		Table: TPCCDistrict, Key: tc.districtKey(wh, d), Field: DistNextOID,
 		Home: tc.homeOfWH(wh), Kind: Add, Value: 1, DependsOn: -1,
 	})
-	seen := make(map[store.Key]struct{}, nItems)
 	for i := 0; i < nItems; i++ {
 		itemWH := wh
 		if rng.Bool(tc.cfg.DistPct) {
@@ -214,19 +219,17 @@ func (tc *TPCC) newOrder(rng *sim.RNG, self netsim.NodeID, wh int) *Txn {
 			item = tc.cfg.HotItemsPerWH + rng.Intn(tc.cfg.ItemsPerWH-tc.cfg.HotItemsPerWH)
 		}
 		sk := tc.stockKey(itemWH, item)
-		if _, dup := seen[sk]; dup {
+		if txn.touches(TPCCStock, sk) {
 			continue
 		}
-		seen[sk] = struct{}{}
 		qty := int64(rng.Intn(10) + 1)
-		// Item price lookup: read-only local catalog row.
-		ops = append(ops, Op{
+		// Item price lookup: read-only local catalog row; then the stock
+		// quantity decrement (TPC-C refills below 10; modelled as a plain
+		// decrement against a large starting quantity).
+		txn.Ops = append(txn.Ops, Op{
 			Table: TPCCItem, Key: store.Key(item), Home: self,
 			Kind: Read, DependsOn: -1,
-		})
-		// Stock quantity decrement (TPC-C refills below 10; modelled as a
-		// plain decrement against a large starting quantity).
-		ops = append(ops, Op{
+		}, Op{
 			Table: TPCCStock, Key: sk, Field: 0, Home: tc.homeOfWH(itemWH),
 			Kind: Add, Value: -qty, DependsOn: -1,
 		})
@@ -236,14 +239,13 @@ func (tc *TPCC) newOrder(rng *sim.RNG, self netsim.NodeID, wh int) *Txn {
 	// order-id semantics and its contention).
 	tc.orderSeq[self]++
 	orderKey := store.Key(int64(self)<<40 | tc.orderSeq[self])
-	ops = append(ops, Op{
+	txn.Ops = append(txn.Ops, Op{
 		Table: TPCCOrder, Key: orderKey, Field: 0, Home: self,
 		Kind: Write, Value: int64(rng.Intn(tc.cfg.CustomersPerDis)), DependsOn: -1,
 	}, Op{
 		Table: TPCCOrder, Key: orderKey, Field: 1, Home: self,
 		Kind: Write, Value: int64(nItems), DependsOn: -1,
 	})
-	return &Txn{Label: "NewOrder", Ops: ops}
 }
 
 // HotCandidates returns the contended columns the paper offloads: every

@@ -89,10 +89,35 @@ func (o Op) LockKey() store.GlobalKey { return store.Global(o.Table, o.Key) }
 // TupleKey returns the field-qualified switch-tuple identifier.
 func (o Op) TupleKey() store.GlobalKey { return store.GlobalField(o.Table, o.Field, o.Key) }
 
-// Txn is one generated transaction.
+// Txn is one generated transaction. It belongs to whoever called NextInto
+// on it: engines read it until they invoke the attempt's continuation and
+// never after, so the owner may refill it for its next transaction as soon
+// as the previous one committed.
 type Txn struct {
 	Label string // transaction type, e.g. "Payment"
 	Ops   []Op
+}
+
+// reset empties the transaction for a refill of up to n operations. A
+// buffer that is too small is replaced by one of exactly n, so a fresh Txn
+// costs one allocation and a warmed one none.
+func (t *Txn) reset(n int) {
+	if cap(t.Ops) < n {
+		t.Ops = make([]Op, 0, n)
+	}
+	t.Ops = t.Ops[:0]
+}
+
+// touches reports whether an operation already appended addresses row
+// (table, key) — the generators' duplicate-key check, a scan because a
+// transaction has at most a few dozen operations.
+func (t *Txn) touches(table store.TableID, key store.Key) bool {
+	for i := range t.Ops {
+		if t.Ops[i].Key == key && t.Ops[i].Table == table {
+			return true
+		}
+	}
+	return false
 }
 
 // Distributed reports whether the transaction touches a node other than
@@ -164,24 +189,17 @@ type Generator interface {
 	Populate(stores []*store.Store)
 	// Home returns the partition owner of a key.
 	Home(t store.TableID, k store.Key) netsim.NodeID
-	// Next generates the next transaction for a worker on node self.
+	// NextInto generates the next transaction for a worker on node self
+	// into txn, truncating and refilling txn.Ops in place: a caller that
+	// reuses one Txn generates without allocating.
+	NextInto(rng *sim.RNG, self netsim.NodeID, txn *Txn)
+	// Next is NextInto on a fresh Txn the caller may retain.
 	Next(rng *sim.RNG, self netsim.NodeID) *Txn
 }
 
-// pickDistinct draws n distinct values in [0, limit) using rng.
-func pickDistinct(rng *sim.RNG, n int, limit int64) []int64 {
-	if int64(n) > limit {
-		panic("workload: cannot pick more distinct values than the range holds")
-	}
-	out := make([]int64, 0, n)
-	seen := make(map[int64]struct{}, n)
-	for len(out) < n {
-		v := rng.Int63n(limit)
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		out = append(out, v)
-	}
-	return out
+// nextFresh is every generator's Next: NextInto on a new Txn.
+func nextFresh(g Generator, rng *sim.RNG, self netsim.NodeID) *Txn {
+	txn := new(Txn)
+	g.NextInto(rng, self, txn)
+	return txn
 }

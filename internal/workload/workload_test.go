@@ -353,18 +353,6 @@ func TestTPCCWarehouseNodeMismatchPanics(t *testing.T) {
 	NewTPCC(DefaultTPCC(3, 8))
 }
 
-func TestPickDistinct(t *testing.T) {
-	rng := sim.NewRNG(1)
-	vals := pickDistinct(rng, 5, 10)
-	seen := map[int64]bool{}
-	for _, v := range vals {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("bad pick: %v", vals)
-		}
-		seen[v] = true
-	}
-}
-
 func TestYCSBHotKeysUseDistinctCongruenceClasses(t *testing.T) {
 	// The single-pass guarantee rests on each hot transaction's keys
 	// coming from pairwise-distinct congruence classes mod OpsPerTxn.

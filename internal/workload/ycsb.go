@@ -53,28 +53,46 @@ func ycsbBase(nodes, writePct int) YCSBConfig {
 
 // YCSB is the Yahoo! Cloud Serving Benchmark generator.
 type YCSB struct {
-	cfg YCSBConfig
-
-	// Zipfian-mode samplers, built once: global ranks for distributed
-	// transactions, per-partition ranks for local ones.
-	zipfGlobal *Zipf
-	zipfLocal  *Zipf
+	cfg  YCSBConfig
+	zipf zipfPair
 }
 
-// NewYCSB validates the configuration and returns a generator.
-func NewYCSB(cfg YCSBConfig) *YCSB {
+// zipfPair holds the Zipfian-mode samplers, built once: global ranks for
+// distributed transactions, per-partition ranks for local ones.
+type zipfPair struct{ global, local *Zipf }
+
+func (cfg *YCSBConfig) samplers() zipfPair {
+	if !cfg.Zipfian {
+		return zipfPair{}
+	}
+	return zipfPair{NewZipf(cfg.RowsPerNode*int64(cfg.NumNodes), cfg.Theta), NewZipf(cfg.RowsPerNode, cfg.Theta)}
+}
+
+// validate panics on a configuration that cannot generate. classDraws says
+// that some transactions draw every key from the congruence classes of a
+// HotPerNode-sized range (see classDraw): operation j's class is empty
+// once j reaches HotPerNode.
+func (cfg *YCSBConfig) validate(classDraws bool) {
 	if cfg.NumNodes <= 0 || cfg.RowsPerNode <= 0 || cfg.OpsPerTxn <= 0 {
 		panic("workload: invalid YCSB config")
 	}
 	if int64(cfg.HotPerNode) > cfg.RowsPerNode {
 		panic("workload: hot set larger than partition")
 	}
-	y := &YCSB{cfg: cfg}
-	if cfg.Zipfian {
-		y.zipfGlobal = NewZipf(cfg.RowsPerNode*int64(cfg.NumNodes), cfg.Theta)
-		y.zipfLocal = NewZipf(cfg.RowsPerNode, cfg.Theta)
+	if classDraws && cfg.HotPerNode < cfg.OpsPerTxn {
+		panic(fmt.Sprintf("workload: HotPerNode %d < OpsPerTxn %d: operation %d of a hot transaction has no key to draw",
+			cfg.HotPerNode, cfg.OpsPerTxn, cfg.HotPerNode))
 	}
-	return y
+}
+
+// NewYCSB validates the configuration and returns a generator.
+func NewYCSB(cfg YCSBConfig) *YCSB {
+	cfg.validate(!cfg.Zipfian && cfg.HotTxnPct > 0)
+	if !cfg.Zipfian && cfg.HotTxnPct < 100 && int64(cfg.HotPerNode) == cfg.RowsPerNode {
+		panic(fmt.Sprintf("workload: HotPerNode == RowsPerNode (%d) with HotTxnPct %d: cold transactions have no key to draw",
+			cfg.HotPerNode, cfg.HotTxnPct))
+	}
+	return &YCSB{cfg: cfg, zipf: cfg.samplers()}
 }
 
 // Name implements Generator.
@@ -126,101 +144,83 @@ func (y *YCSB) hotKey(node netsim.NodeID, i int64) store.Key {
 	return store.Key(int64(node)*y.cfg.RowsPerNode + i)
 }
 
-// coldKey returns a uniformly random cold key of a node.
-func (y *YCSB) coldKey(rng *sim.RNG, node netsim.NodeID) store.Key {
-	off := int64(y.cfg.HotPerNode) + rng.Int63n(y.cfg.RowsPerNode-int64(y.cfg.HotPerNode))
-	return store.Key(int64(node)*y.cfg.RowsPerNode + off)
-}
+// Next implements Generator.
+func (y *YCSB) Next(rng *sim.RNG, self netsim.NodeID) *Txn { return nextFresh(y, rng, self) }
 
-// Next implements Generator. A transaction is either entirely hot or
+// NextInto implements Generator. A transaction is either entirely hot or
 // entirely cold (HotTxnPct), and either local or distributed (DistPct);
-// distributed transactions draw each operation's node uniformly.
-//
-// Operation j of a hot transaction draws its key from congruence class
-// j mod OpsPerTxn of the hot range, so the operations of one transaction
-// never share a class. This mirrors the paper's YCSB switch program, in
-// which every hot transaction executes in a single pipeline pass: a
-// conflict-free register assignment exists (one set of register arrays
-// per class) and the declustering algorithm finds it from the co-access
-// pattern alone.
-func (y *YCSB) Next(rng *sim.RNG, self netsim.NodeID) *Txn {
-	if y.cfg.Zipfian {
-		return y.nextZipf(rng, self)
+// distributed transactions draw each operation's node uniformly. Cold keys
+// are uniform over the partition behind the hot range.
+func (y *YCSB) NextInto(rng *sim.RNG, self netsim.NodeID, txn *Txn) {
+	cfg := &y.cfg
+	txn.Label = "YCSB"
+	txn.reset(cfg.OpsPerTxn)
+	if cfg.Zipfian {
+		cfg.zipfInto(y.zipf, rng, self, 0, txn)
+		return
 	}
-	hot := rng.Bool(y.cfg.HotTxnPct)
-	dist := rng.Bool(y.cfg.DistPct)
-	txn := &Txn{Label: "YCSB", Ops: make([]Op, 0, y.cfg.OpsPerTxn)}
-	seen := make(map[store.Key]struct{}, y.cfg.OpsPerTxn)
-	for len(txn.Ops) < y.cfg.OpsPerTxn {
+	hot := rng.Bool(cfg.HotTxnPct)
+	dist := rng.Bool(cfg.DistPct)
+	for len(txn.Ops) < cfg.OpsPerTxn {
 		node := self
 		if dist {
-			node = netsim.NodeID(rng.Intn(y.cfg.NumNodes))
+			node = netsim.NodeID(rng.Intn(cfg.NumNodes))
 		}
-		var key store.Key
 		if hot {
-			j := len(txn.Ops)
-			classSize := (y.cfg.HotPerNode - j + y.cfg.OpsPerTxn - 1) / y.cfg.OpsPerTxn
-			key = y.hotKey(node, int64(j+y.cfg.OpsPerTxn*rng.Intn(classSize)))
+			cfg.add(rng, txn, node, cfg.classDraw(rng, len(txn.Ops)))
 		} else {
-			key = y.coldKey(rng, node)
+			cfg.add(rng, txn, node, int64(cfg.HotPerNode)+rng.Int63n(cfg.RowsPerNode-int64(cfg.HotPerNode)))
 		}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		kind := Read
-		var val int64
-		if rng.Bool(y.cfg.WritePct) {
-			kind = Write
-			val = int64(rng.Uint32())
-		}
-		txn.Ops = append(txn.Ops, Op{
-			Table: YCSBTable, Key: key, Field: 0, Home: node,
-			Kind: kind, Value: val, DependsOn: -1,
-		})
 	}
-	return txn
 }
 
-// nextZipf is the Zipfian-mode transaction body: every operation's key is
+// classDraw draws operation j's offset within a HotPerNode-sized range
+// from congruence class j mod OpsPerTxn, so the operations of one hot
+// transaction never share a class. This mirrors the paper's YCSB switch
+// program, in which every hot transaction executes in a single pipeline
+// pass: a conflict-free register assignment exists (one set of register
+// arrays per class) and the declustering algorithm finds it from the
+// co-access pattern alone.
+func (cfg *YCSBConfig) classDraw(rng *sim.RNG, j int) int64 {
+	classSize := (cfg.HotPerNode - j + cfg.OpsPerTxn - 1) / cfg.OpsPerTxn
+	return int64(j + cfg.OpsPerTxn*rng.Intn(classSize))
+}
+
+// add appends an operation on the key at partition offset off of node,
+// drawing its read/write kind and value — unless the transaction already
+// touches that key, in which case the caller draws again.
+func (cfg *YCSBConfig) add(rng *sim.RNG, txn *Txn, node netsim.NodeID, off int64) {
+	key := store.Key(int64(node)*cfg.RowsPerNode + off)
+	if txn.touches(YCSBTable, key) {
+		return
+	}
+	op := Op{Table: YCSBTable, Key: key, Home: node, Kind: Read, DependsOn: -1}
+	if rng.Bool(cfg.WritePct) {
+		op.Kind, op.Value = Write, int64(rng.Uint32())
+	}
+	txn.Ops = append(txn.Ops, op)
+}
+
+// zipfInto is the Zipfian-mode transaction body: every operation's key is
 // drawn from Zipf(Theta). Distributed transactions draw a global rank —
 // rank r lives on node r mod NumNodes at partition offset r div NumNodes,
 // so the globally hottest tuples round-robin across the cluster and land
 // on the low per-node offsets that the two-level mode also uses as its hot
 // region (hot-set detection and HotCandidates need no special case). Local
 // transactions draw a per-partition rank on the originating node, giving
-// every partition the same internal skew.
-func (y *YCSB) nextZipf(rng *sim.RNG, self netsim.NodeID) *Txn {
-	dist := rng.Bool(y.cfg.DistPct)
-	nodes := int64(y.cfg.NumNodes)
-	txn := &Txn{Label: "YCSB", Ops: make([]Op, 0, y.cfg.OpsPerTxn)}
-	seen := make(map[store.Key]struct{}, y.cfg.OpsPerTxn)
-	for len(txn.Ops) < y.cfg.OpsPerTxn {
-		node := self
-		var key store.Key
+// every partition the same internal skew. rot rotates the rank→key mapping
+// within every partition: 0 for YCSB, the phase's rotation when drifting.
+func (cfg *YCSBConfig) zipfInto(z zipfPair, rng *sim.RNG, self netsim.NodeID, rot int64, txn *Txn) {
+	dist := rng.Bool(cfg.DistPct)
+	nodes := int64(cfg.NumNodes)
+	for len(txn.Ops) < cfg.OpsPerTxn {
 		if dist {
-			r := y.zipfGlobal.Next(rng)
-			node = netsim.NodeID(r % nodes)
-			key = store.Key(int64(node)*y.cfg.RowsPerNode + r/nodes)
+			r := z.global.Next(rng)
+			cfg.add(rng, txn, netsim.NodeID(r%nodes), (r/nodes+rot)%cfg.RowsPerNode)
 		} else {
-			key = store.Key(int64(self)*y.cfg.RowsPerNode + y.zipfLocal.Next(rng))
+			cfg.add(rng, txn, self, (z.local.Next(rng)+rot)%cfg.RowsPerNode)
 		}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		kind := Read
-		var val int64
-		if rng.Bool(y.cfg.WritePct) {
-			kind = Write
-			val = int64(rng.Uint32())
-		}
-		txn.Ops = append(txn.Ops, Op{
-			Table: YCSBTable, Key: key, Field: 0, Home: node,
-			Kind: kind, Value: val, DependsOn: -1,
-		})
 	}
-	return txn
 }
 
 // HotCandidates enumerates every hot tuple the generator will ever emit,
