@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/layout"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -159,5 +161,54 @@ func TestAdaptiveConcurrentFenceDeterministic(t *testing.T) {
 	}
 	if digests[0] != digests[1] {
 		t.Fatalf("two identical adaptive runs diverged:\n%s\n%s", digests[0], digests[1])
+	}
+}
+
+// TestAdaptivePromotionPastHighWaterMark: the offload holds a single
+// tuple and the hot-set cap is tiny, so the phase-0 hot set is promoted
+// into register slots the offload never wrote — growing the arrays from
+// the control plane — and the mid-stream shift demotes those tuples again,
+// carrying their register values back to the stores. Through all of it
+// the adaptive cluster must keep the static one's logical state.
+func TestAdaptivePromotionPastHighWaterMark(t *testing.T) {
+	cfgA, wl := adaptiveDriftConfig(true)
+	cfgS, _ := adaptiveDriftConfig(false)
+	for _, cfg := range []*Config{&cfgA, &cfgS} {
+		cfg.Switch.Stages, cfg.Switch.ArraysPerStage = 2, 2
+		cfg.HotSetCap = 4
+	}
+	txns := adaptiveTestStream(wl, 1200)
+	cfgA.ExplicitHot = NewCluster(cfgS, workload.NewDrift(wl)).HotIndex().Keys()[:1]
+
+	ca := NewCluster(cfgA, workload.NewDrift(wl))
+	mark := ca.Switch().Snapshot()
+	aps := cfgA.Switch.ArraysPerStage
+	var grown []layout.TupleID // tuples ever placed past the offload's mark
+	drv := NewDriver(ca)
+	for i, txn := range txns {
+		drv.Submit(netsim.NodeID(i%cfgA.Nodes), txn, func(engine.Class, int) {})
+		drv.Drain()
+		for _, tid := range ca.Layout().Tuples() {
+			s, _ := ca.Layout().SlotOf(tid)
+			if int(s.Index) >= len(mark[int(s.Stage)*aps+int(s.Array)]) && !slices.Contains(grown, tid) {
+				grown = append(grown, tid)
+			}
+		}
+	}
+	ra := drv.Result()
+	cs, _ := driveSerial(t, cfgS, wl, txns)
+
+	demoted := 0
+	for _, tid := range grown {
+		if _, ok := ca.Layout().SlotOf(tid); !ok {
+			demoted++
+		}
+	}
+	if demoted == 0 {
+		t.Fatalf("no tuple promoted past the offload's high-water mark was demoted again (%d promoted past it; promoted %d, demoted %d)",
+			len(grown), ra.Promoted, ra.Demoted)
+	}
+	if a, s := ca.LogicalDigest(), cs.LogicalDigest(); a != s {
+		t.Fatalf("promotion past the high-water mark corrupted state:\n  adaptive: %s\n  static:   %s", a, s)
 	}
 }

@@ -25,7 +25,7 @@ type Cluster struct {
 	eng engine.Engine
 	ctx *engine.Context
 
-	baseline []int64 // switch registers right after offload (recovery base)
+	baseline pisa.Image // switch registers right after offload (recovery base); nil unless recoverable
 
 	redoBase *store.Store   // crashed partition's load-time image (node-crash redo)
 	recovery *RecoveryStats // filled by the fault handler once it fired
@@ -85,7 +85,8 @@ func NewCluster(cfg Config, gen workload.Generator) *Cluster {
 	if err := eng.Prepare(ctx); err != nil {
 		panic(fmt.Sprintf("core: engine %q failed to prepare: %v", eng.Name(), err))
 	}
-	if ctx.UseSwitch {
+	// Only a run that can recover the switch needs its post-offload image.
+	if ctx.UseSwitch && (cfg.Durable || cfg.Fault != nil) {
 		c.baseline = ctx.Sw.Snapshot()
 	}
 	// The online adaptive layout only makes sense for engines that
@@ -174,10 +175,11 @@ func (c *Cluster) HotIndex() *hotset.Index { return c.ctx.HotIdx }
 // Layout returns the computed switch layout.
 func (c *Cluster) Layout() *layout.Layout { return c.ctx.Layout }
 
-// Baseline returns the switch register snapshot taken right after the
-// offload (the recovery base state); nil for engines that leave the
-// switch registers unused.
-func (c *Cluster) Baseline() []int64 { return c.baseline }
+// Baseline returns the sparse switch register image taken right after the
+// offload (the recovery base state). It is nil unless Config.Durable or a
+// FaultPlan is set — nothing else can recover from it — and nil for
+// engines that leave the switch registers unused.
+func (c *Cluster) Baseline() pisa.Image { return c.baseline }
 
 // Engine returns the execution strategy the cluster runs.
 func (c *Cluster) Engine() engine.Engine { return c.eng }

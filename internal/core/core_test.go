@@ -325,10 +325,8 @@ func TestSwitchRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := c.Switch().Snapshot()
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("register %d after recovery: %d, want %d", i, got[i], want[i])
-		}
+	if ai, i, differ := got.Diff(want); differ {
+		t.Fatalf("array %d slot %d after recovery: %d, want %d", ai, i, got.At(ai, i), want.At(ai, i))
 	}
 }
 

@@ -256,10 +256,11 @@ func (c *Cluster) crashSwitch(st *RecoveryStats) {
 	st.SwitchReplayed = len(seq)
 	st.RecoveryTime = c.ctx.Costs.LogAppend * sim.Time(st.LogRecords+st.SwitchReplayed)
 
-	for i, v := range sw.Snapshot() {
-		if v != pre[i] {
-			panic(fmt.Sprintf("core: switch recovery diverged at register %d: rebuilt %d, lost state had %d", i, v, pre[i]))
-		}
+	post := sw.Snapshot()
+	if ai, i, differ := post.Diff(pre); differ {
+		aps := c.cfg.Switch.ArraysPerStage
+		panic(fmt.Sprintf("core: switch recovery diverged at stage %d array %d index %d: rebuilt %d, lost state had %d",
+			ai/aps, ai%aps, i, post.At(ai, i), pre.At(ai, i)))
 	}
 }
 

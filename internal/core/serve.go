@@ -127,9 +127,7 @@ func (c *Cluster) StateDigest() string {
 	}
 	if c.ctx.UseSwitch {
 		h.Write([]byte("switch\n"))
-		for _, v := range c.ctx.Sw.Snapshot() {
-			writeU64(uint64(v))
-		}
+		c.ctx.Sw.WriteTo(h)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -164,17 +164,6 @@ func (l *Layout) Extend(removed, added []TupleID) *Layout {
 	for _, t := range removed {
 		delete(nl.slots, t)
 	}
-	k := l.spec.NumArrays()
-	occ := make([]int, k)
-	used := make([][]bool, k)
-	for i := range used {
-		used[i] = make([]bool, l.spec.SlotsPerArray)
-	}
-	for _, s := range nl.slots {
-		ai := int(s.Stage)*l.spec.ArraysPerStage + int(s.Array)
-		occ[ai]++
-		used[ai][s.Index] = true
-	}
 	adds := make([]TupleID, 0, len(added))
 	for _, t := range added {
 		if _, dup := nl.slots[t]; !dup {
@@ -182,6 +171,24 @@ func (l *Layout) Extend(removed, added []TupleID) *Layout {
 		}
 	}
 	sort.Slice(adds, func(i, j int) bool { return adds[i] < adds[j] })
+	// Each addition takes its array's lowest free slot, which lies at most
+	// one past the array's occupied high-water mark plus the additions
+	// placed before it, so a bitmap of that length covers every probe.
+	k := l.spec.NumArrays()
+	occ := make([]int, k)
+	hwm := make([]int, k) // one past the highest occupied slot per array
+	for _, s := range nl.slots {
+		ai := int(s.Stage)*l.spec.ArraysPerStage + int(s.Array)
+		occ[ai]++
+		hwm[ai] = max(hwm[ai], int(s.Index)+1)
+	}
+	used := make([][]bool, k)
+	for ai := range used {
+		used[ai] = make([]bool, min(hwm[ai]+len(adds), l.spec.SlotsPerArray))
+	}
+	for _, s := range nl.slots {
+		used[int(s.Stage)*l.spec.ArraysPerStage+int(s.Array)][s.Index] = true
+	}
 	scan := make([]int, k) // per-array lowest possibly-free index
 	for _, t := range adds {
 		best := -1

@@ -131,7 +131,7 @@ func TestExecKFramesNotRecycledEarly(t *testing.T) {
 			waited++
 		}
 	}
-	if !reflect.DeepEqual(sw.Snapshot(), ref.Snapshot()) {
+	if _, _, differ := sw.Snapshot().Diff(ref.Snapshot()); differ {
 		t.Fatal("register state differs from the serial replay")
 	}
 	if sw.Stats.MultiPass == 0 || waited == 0 {

@@ -139,13 +139,8 @@ func TestApplyTxnMatchesExec(t *testing.T) {
 			}
 		}
 		// And identical final state.
-		a, b := live.Snapshot(), ref.Snapshot()
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+		_, _, differ := live.Snapshot().Diff(ref.Snapshot())
+		return !differ
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,10 @@
 package pisa
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/txnwire"
@@ -100,9 +103,16 @@ type Stats struct {
 
 // Switch is one simulated switch pipeline with its register state.
 type Switch struct {
-	env  *sim.Env
-	cfg  Config
-	regs []int64 // flattened [stage][array][slot]
+	env *sim.Env
+	cfg Config
+	// regs holds one slice per register array in [stage][array] order,
+	// each only as long as the highest slot ever written to it: slots past
+	// the end read as zero. P4DB offloads a few hundred hot tuples into a
+	// pipeline of ~820K slots, so the register file is sized to what it
+	// holds, not to the hardware. The control plane (offload, migration,
+	// recovery) writes every slot the data plane can address, so packets
+	// never grow an array. Capacity past a slice's length is always zero.
+	regs [][]int64
 	lock LockReg
 
 	nextGID   uint64
@@ -132,56 +142,176 @@ func New(env *sim.Env, cfg Config) *Switch {
 	return &Switch{
 		env:  env,
 		cfg:  cfg,
-		regs: make([]int64, cfg.Capacity()),
+		regs: make([][]int64, cfg.Stages*cfg.ArraysPerStage),
 	}
 }
 
 // Config returns the switch configuration.
 func (sw *Switch) Config() Config { return sw.cfg }
 
-// slot returns the flattened register index, panicking on out-of-range
-// coordinates: a bad coordinate means the data layout handed the switch an
-// instruction the P4 compiler would have rejected.
-func (sw *Switch) slot(stage, array uint8, index uint32) int {
+// slot returns a coordinate's array number in [stage][array] order and its
+// slot index, panicking on out-of-range coordinates: a bad coordinate means
+// the data layout handed the switch an instruction the P4 compiler would
+// have rejected.
+func (sw *Switch) slot(stage, array uint8, index uint32) (ai, i int) {
 	if int(stage) >= sw.cfg.Stages || int(array) >= sw.cfg.ArraysPerStage || int(index) >= sw.cfg.SlotsPerArray {
 		panic(fmt.Sprintf("pisa: register access out of range: stage=%d array=%d index=%d (config %dx%dx%d)",
 			stage, array, index, sw.cfg.Stages, sw.cfg.ArraysPerStage, sw.cfg.SlotsPerArray))
 	}
-	return (int(stage)*sw.cfg.ArraysPerStage+int(array))*sw.cfg.SlotsPerArray + int(index)
+	return int(stage)*sw.cfg.ArraysPerStage + int(array), int(index)
+}
+
+// cell returns the register at a coordinate, growing its array to cover
+// the slot if it lies past the array's high-water mark.
+func (sw *Switch) cell(stage, array uint8, index uint32) *int64 {
+	ai, i := sw.slot(stage, array, index)
+	a := sw.regs[ai]
+	if i >= len(a) {
+		a = sw.grow(ai, i+1)
+	}
+	return &a[i]
+}
+
+// minArrayCap is the capacity an array gets on its first write.
+const minArrayCap = 8
+
+// grow extends array ai to n slots, doubling its capacity when it must
+// reallocate (capped at SlotsPerArray). The slots it exposes are zero:
+// capacity past a slice's length is never written.
+func (sw *Switch) grow(ai, n int) []int64 {
+	a := sw.regs[ai]
+	if n > cap(a) {
+		na := make([]int64, len(a), min(max(2*cap(a), n, minArrayCap), sw.cfg.SlotsPerArray))
+		copy(na, a)
+		a = na
+	}
+	a = a[:n]
+	sw.regs[ai] = a
+	return a
 }
 
 // ReadRegister returns a register value directly (control-plane access,
 // used when offloading tuples and in tests; takes no simulated time).
 func (sw *Switch) ReadRegister(stage, array uint8, index uint32) int64 {
-	return sw.regs[sw.slot(stage, array, index)]
+	ai, i := sw.slot(stage, array, index)
+	if a := sw.regs[ai]; i < len(a) {
+		return a[i]
+	}
+	return 0
 }
 
 // WriteRegister sets a register value directly (control-plane access used
-// by the offload step and by recovery).
+// by the offload step, live migration and recovery). It is the step that
+// grows an array: the slot stays addressable, even when v is zero.
 func (sw *Switch) WriteRegister(stage, array uint8, index uint32, v int64) {
-	sw.regs[sw.slot(stage, array, index)] = v
+	*sw.cell(stage, array, index) = v
 }
 
-// Snapshot copies the full register state (for recovery tests).
-func (sw *Switch) Snapshot() []int64 {
-	out := make([]int64, len(sw.regs))
-	copy(out, sw.regs)
-	return out
+// Image is a sparse copy of a switch's register file: one slice per
+// register array in [stage][array] order, each as long as that array's
+// high-water mark. Slots past a slice's end (and arrays past the image's
+// end) hold zero, so two images describe the same state exactly when
+// they agree after zero-extension (see Diff).
+type Image [][]int64
+
+// At returns the value of slot index of array ai (in [stage][array]
+// order), zero past the image's end.
+func (im Image) At(ai, index int) int64 {
+	if ai < len(im) && index < len(im[ai]) {
+		return im[ai][index]
+	}
+	return 0
 }
 
-// Restore overwrites the register state from a snapshot.
-func (sw *Switch) Restore(snap []int64) {
-	if len(snap) != len(sw.regs) {
+// Diff returns the first (array, slot) position, in [stage][array][slot]
+// order, at which two images differ after zero-extension; differ is false
+// when they describe the same register state.
+func (im Image) Diff(o Image) (ai, index int, differ bool) {
+	for ai = 0; ai < max(len(im), len(o)); ai++ {
+		var n int
+		if ai < len(im) {
+			n = len(im[ai])
+		}
+		if ai < len(o) {
+			n = max(n, len(o[ai]))
+		}
+		for index = 0; index < n; index++ {
+			if im.At(ai, index) != o.At(ai, index) {
+				return ai, index, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// Snapshot copies the register state as a sparse Image, every array
+// trimmed to its high-water mark.
+func (sw *Switch) Snapshot() Image {
+	img := make(Image, len(sw.regs))
+	for ai, a := range sw.regs {
+		img[ai] = slices.Clone(a)
+	}
+	return img
+}
+
+// Restore overwrites the register state with an Image: every array takes
+// the image's values and reads zero beyond them.
+func (sw *Switch) Restore(img Image) {
+	if len(img) != len(sw.regs) {
 		panic("pisa: snapshot size mismatch")
 	}
-	copy(sw.regs, snap)
+	for ai, vals := range img {
+		if len(vals) > sw.cfg.SlotsPerArray {
+			panic("pisa: snapshot size mismatch")
+		}
+		sw.clearArray(ai)
+		copy(sw.grow(ai, len(vals)), vals)
+	}
+}
+
+// clearArray zeroes array ai and drops its high-water mark, keeping the
+// capacity for the next write.
+func (sw *Switch) clearArray(ai int) {
+	a := sw.regs[ai]
+	clear(a)
+	sw.regs[ai] = a[:0]
+}
+
+// zeros is the fixed run of zero bytes WriteTo streams for the slots past
+// each array's high-water mark.
+var zeros [4096]byte
+
+// WriteTo streams the whole register file to w as 8-byte big-endian
+// values in [stage][array][slot] order, Capacity slots in all, with every
+// slot past an array's high-water mark written as zero — byte for byte
+// the dense image — without materializing it.
+func (sw *Switch) WriteTo(w io.Writer) (n int64, err error) {
+	write := func(b []byte) {
+		if err == nil {
+			var m int
+			m, err = w.Write(b)
+			n += int64(m)
+		}
+	}
+	var buf []byte
+	for _, a := range sw.regs {
+		buf = buf[:0]
+		for _, v := range a {
+			buf = binary.BigEndian.AppendUint64(buf, uint64(v))
+		}
+		write(buf)
+		for tail := 8 * (sw.cfg.SlotsPerArray - len(a)); tail > 0; tail -= len(zeros) {
+			write(zeros[:min(tail, len(zeros))])
+		}
+	}
+	return n, err
 }
 
 // Reset zeroes all registers, the pipeline locks and the GID counter,
 // modelling a switch power cycle (crash).
 func (sw *Switch) Reset() {
-	for i := range sw.regs {
-		sw.regs[i] = 0
+	for ai := range sw.regs {
+		sw.clearArray(ai)
 	}
 	sw.lock = LockReg{}
 	sw.nextGID = 0
@@ -443,7 +573,7 @@ func newPktCtx() pktCtx { return pktCtx{ok: true} }
 // serial semantics while still modelling packet-level pipelining (many
 // packets can be "in flight" during each other's PipelineLatency).
 func (sw *Switch) apply(in txnwire.Instr, ctx *pktCtx) txnwire.Result {
-	v := &sw.regs[sw.slot(in.Stage, in.Array, in.Index)]
+	v := sw.cell(in.Stage, in.Array, in.Index)
 	switch in.Op {
 	case txnwire.OpRead:
 		return txnwire.Result{Value: *v, OK: true}

@@ -200,10 +200,8 @@ func TestPipelinedSerialOrder(t *testing.T) {
 		ref.ApplyTxn(pkt.Instrs)
 	}
 	got, want := sw.Snapshot(), ref.Snapshot()
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("register %d: concurrent=%d serial=%d — pipelined execution not serializable", i, got[i], want[i])
-		}
+	if ai, i, differ := got.Diff(want); differ {
+		t.Fatalf("array %d slot %d: concurrent=%d serial=%d — pipelined execution not serializable", ai, i, got.At(ai, i), want.At(ai, i))
 	}
 }
 

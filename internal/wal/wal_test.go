@@ -16,7 +16,7 @@ func swConfig() pisa.Config {
 	return cfg
 }
 
-func freshSwitch(baseline []int64) func() Replayer {
+func freshSwitch(baseline pisa.Image) func() Replayer {
 	return func() Replayer {
 		sw := pisa.New(sim.NewEnv(0), swConfig())
 		if baseline != nil {
@@ -74,10 +74,8 @@ func TestRecoverySimpleReplay(t *testing.T) {
 		t.Fatalf("replayed=%d next=%d", n, next)
 	}
 	got := sw.Snapshot()
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("register %d differs after recovery: %d vs %d", i, got[i], want[i])
-		}
+	if ai, i, differ := got.Diff(want); differ {
+		t.Fatalf("array %d slot %d differs after recovery: %d vs %d", ai, i, got.At(ai, i), want.At(ai, i))
 	}
 }
 
@@ -166,10 +164,8 @@ func TestRecoveryDependencyOrdersInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sw.Snapshot()
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("register %d differs: got %d want %d", i, got[i], want[i])
-		}
+	if ai, i, differ := got.Diff(want); differ {
+		t.Fatalf("array %d slot %d differs: got %d want %d", ai, i, got.At(ai, i), want.At(ai, i))
 	}
 }
 
@@ -275,13 +271,11 @@ func TestRecoveryRandomizedCrashPoints(t *testing.T) {
 			t.Fatalf("trial %d (lost %d): %v", trial, lost, err)
 		}
 		got := sw.Snapshot()
-		for i := range got {
-			if got[i] != want[i] {
-				// Orders may legitimately differ only when the final
-				// states coincide; a state mismatch means recovery chose
-				// an inconsistent order.
-				t.Fatalf("trial %d (lost %d): register %d = %d, want %d", trial, lost, i, got[i], want[i])
-			}
+		if ai, i, differ := got.Diff(want); differ {
+			// Orders may legitimately differ only when the final
+			// states coincide; a state mismatch means recovery chose
+			// an inconsistent order.
+			t.Fatalf("trial %d (lost %d): array %d slot %d = %d, want %d", trial, lost, ai, i, got.At(ai, i), want.At(ai, i))
 		}
 	}
 }
