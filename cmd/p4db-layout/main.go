@@ -138,7 +138,6 @@ func report(w io.Writer, eng engine.Engine, wl string, nodes, samples, window in
 	cfg.RandomLayout = random
 	cfg.Seed = seed
 	c := core.NewCluster(cfg, gen)
-	defer c.Env().Shutdown()
 
 	l := c.Layout()
 	ix := c.HotIndex()

@@ -118,6 +118,3 @@ func driftPlan(o Options, nodes []int) plan {
 // allPlans: `-fig all` keeps reproducing the paper's figure set — and
 // its golden digest — unchanged.
 func figDriftPlan(o Options) plan { return driftPlan(o, []int{8}) }
-
-// FigDrift regenerates the drifting-workload figure.
-func FigDrift(o Options) []Row { return o.execute(figDriftPlan(o)) }

@@ -174,9 +174,6 @@ func figRecoverPlan(o Options) plan {
 	return recoverPlan(o, []sim.Time{300 * sim.Microsecond, 500 * sim.Microsecond, 700 * sim.Microsecond})
 }
 
-// FigRecover regenerates the recovery-latency figure.
-func FigRecover(o Options) []Row { return o.execute(figRecoverPlan(o)) }
-
 // RecoverSweep runs the reduced recovery sweep (all three recovery
 // stories at a shallow and a deep crash point) on a pool of the given
 // size and returns its rows. Every per-cell knob is pinned inside

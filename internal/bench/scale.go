@@ -74,6 +74,3 @@ func scalePlan(o Options, nodes []int, thetas []float64) plan {
 // (`-fig scale`) but deliberately not in allPlans: `-fig all` keeps
 // reproducing the paper's figure set — and its golden digest — unchanged.
 func figScalePlan(o Options) plan { return scalePlan(o, scaleNodes, scaleThetas) }
-
-// FigScale regenerates the contention-scaling figure.
-func FigScale(o Options) []Row { return o.execute(figScalePlan(o)) }

@@ -286,6 +286,5 @@ func (c *Cluster) Run(warmup, measure sim.Time) *Result {
 	if c.cfg.CaptureState {
 		res.StateDigest = c.StateDigest()
 	}
-	c.env.Shutdown()
 	return res
 }

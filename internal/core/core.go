@@ -2,8 +2,8 @@
 // every substrate — the discrete-event simulator, the rack network, the
 // PISA switch model, per-node stores, lock tables and write-ahead logs —
 // performs the strategy-independent offline preparation step (hot-set
-// detection, declustered layout computation) and runs closed-loop worker
-// processes that generate and execute transactions.
+// detection, declustered layout computation) and runs closed-loop workers
+// that generate and execute transactions.
 //
 // The execution strategies themselves — P4DB's hot/warm/cold paths and
 // the evaluation baselines (No-Switch, LM-Switch, Chiller, OCC) — live in

@@ -210,7 +210,6 @@ func TestOffloadLoadsValues(t *testing.T) {
 	if found == 0 {
 		t.Fatal("nothing offloaded")
 	}
-	c.Env().Shutdown()
 }
 
 func TestHotSetDetectionFindsConfiguredHotTuples(t *testing.T) {
@@ -227,7 +226,6 @@ func TestHotSetDetectionFindsConfiguredHotTuples(t *testing.T) {
 	if missed > len(want)/10 {
 		t.Fatalf("detection missed %d/%d configured hot tuples", missed, len(want))
 	}
-	c.Env().Shutdown()
 }
 
 func TestCapacityCapSpills(t *testing.T) {
@@ -273,15 +271,19 @@ func TestSwitchRecoveryEndToEnd(t *testing.T) {
 	for i := 0; i < cfg.Nodes; i++ {
 		n := c.Node(i)
 		rng := sim.NewRNG(uint64(900 + i))
-		c.Env().Spawn("driver", func(p *sim.Proc) {
-			for k := 0; k < 50; k++ {
+		k := 0
+		var drive func()
+		drive = func() {
+			for k < 50 {
+				k++
 				txn := gen.Next(rng, n.ID())
-				if c.EngineContext().Classify(txn) != engine.ClassHot {
-					continue
+				if c.EngineContext().Classify(txn) == engine.ClassHot {
+					c.EngineContext().ExecHotK(n, txn, func(engine.Class, error) { drive() })
+					return
 				}
-				c.EngineContext().ExecHot(p, n, txn)
 			}
-		})
+		}
+		c.Env().After(0, drive)
 	}
 	c.Env().Run()
 

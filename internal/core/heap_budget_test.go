@@ -70,7 +70,6 @@ func TestHeapBudget(t *testing.T) {
 			case engine == "p4db" && (slots == 0 || slots > c.Layout().NumTuples()*4):
 				t.Errorf("p4db cluster holds %d register slots for %d offloaded tuples", slots, c.Layout().NumTuples())
 			}
-			c.Env().Shutdown()
 		})
 	}
 }

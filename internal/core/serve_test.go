@@ -56,10 +56,10 @@ func TestDriverDeterministic(t *testing.T) {
 	}
 }
 
-// TestDriverMatchesExecuteSync: the serving-mode submit path and the
-// process-bridge path produce identical final state for the same serial
+// TestDriverMatchesSerialExecute: the serving-mode submit path and a bare
+// Engine.Execute chain produce identical final state for the same serial
 // history — Submit adds accounting and pooling, not semantics.
-func TestDriverMatchesExecuteSync(t *testing.T) {
+func TestDriverMatchesSerialExecute(t *testing.T) {
 	cfg, wl := serveTestConfig("noswitch")
 	gen := workload.NewSmallBank(wl)
 
@@ -77,20 +77,28 @@ func TestDriverMatchesExecuteSync(t *testing.T) {
 
 	sync := NewCluster(cfg, workload.NewSmallBank(wl))
 	ctx := sync.EngineContext()
-	done := make(chan struct{})
-	sync.Env().Spawn("sync-driver", func(p *sim.Proc) {
-		for i, txn := range txns {
-			if _, err := ctx.ExecuteSync(p, sync.Engine(), sync.Node(i%cfg.Nodes), txn); err != nil {
+	i := 0
+	var drive func()
+	drive = func() {
+		if i == len(txns) {
+			return
+		}
+		sync.Engine().Execute(ctx, sync.Node(i%cfg.Nodes), txns[i], func(_ engine.Class, err error) {
+			if err != nil {
 				t.Errorf("sync txn %d: %v", i, err)
 			}
-		}
-		close(done)
-	})
+			i++
+			drive() // the next transaction starts from this one's k
+		})
+	}
+	sync.Env().After(0, drive)
 	sync.Env().Run()
-	<-done
+	if i != len(txns) {
+		t.Fatalf("serial chain stopped after %d of %d txns", i, len(txns))
+	}
 	viaSync := sync.StateDigest()
 
 	if viaDriver != viaSync {
-		t.Fatalf("submit path diverged from ExecuteSync:\n%s\n%s", viaDriver, viaSync)
+		t.Fatalf("submit path diverged from the serial Execute chain:\n%s\n%s", viaDriver, viaSync)
 	}
 }

@@ -50,9 +50,8 @@ func TestSetupAllocBudget(t *testing.T) {
 			}
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			c := NewCluster(cfg, gen)
+			NewCluster(cfg, gen)
 			runtime.ReadMemStats(&m1)
-			c.Env().Shutdown()
 
 			got := float64(m1.Mallocs-m0.Mallocs) / float64(cfg.SampleTxns)
 			t.Logf("%.2f allocs per sampled txn, %.1f MB, %d GC cycles (budget %.1f)",
@@ -76,7 +75,7 @@ func BenchmarkNewClusterCold(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				NewCluster(cfg, gen).Env().Shutdown()
+				NewCluster(cfg, gen)
 			}
 		})
 	}
@@ -106,7 +105,7 @@ func TestDetectCacheHoldsNoSample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		NewCluster(cfg, gen).Env().Shutdown()
+		NewCluster(cfg, gen)
 	}
 	if got := DetectCacheStats().Misses - misses; got != builds {
 		t.Fatalf("%d of %d builds missed the cache; the test needs every one cached", got, builds)

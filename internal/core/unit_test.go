@@ -12,7 +12,6 @@ func TestClassifyHotColdWarm(t *testing.T) {
 	cfg := smallConfig("p4db")
 	gen := ycsbGen(cfg, 50)
 	c := NewCluster(cfg, gen)
-	defer c.Env().Shutdown()
 	ctx := c.EngineContext()
 	hotKey := gen.HotCandidates()[0]
 	table, field, key := hotKey.SplitField()

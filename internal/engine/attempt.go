@@ -287,9 +287,7 @@ func (c *Context) putOpsFrame(f *opsFrame) {
 
 // execOpsK acquires locks and executes the given operations under 2PL,
 // visiting remote nodes over the network. On a lock conflict it rolls the
-// attempt back (releasing everything) and hands k the abort error. It
-// schedules the exact same events as the retired process-form loop, so
-// seeded schedules are unchanged.
+// attempt back (releasing everything) and hands k the abort error.
 func (c *Context) execOpsK(n *Node, at *attempt, ops []workload.Op, k func(error)) {
 	if len(ops) == 0 {
 		k(nil)

@@ -32,7 +32,7 @@ func init() { Register(calvinEngine{}) }
 //     cannot promise exact sets (TPC-C, SetDeclarer) get a reconnaissance
 //     pass first — Calvin's optimistic lock location prediction. All locks
 //     are then acquired in ascending global key order with waiting grants
-//     (lock.Table.AcquireWait): ordered acquisition keeps every waits-for
+//     (lock.Table.AcquireWaitK): ordered acquisition keeps every waits-for
 //     chain acyclic, so there is no deadlock detection, no waits-for
 //     graph, and — unlike NO_WAIT/WAIT_DIE — no aborts, ever.
 //   - Single-round commit. Execution applies in place (nothing can force
@@ -169,10 +169,10 @@ func (s *calvinSequencer) dispatch(c *Context) {
 	for _, i := range s.rng.Perm(len(batch)) {
 		sub := batch[i]
 		if sub.node == s.node {
-			sub.turn.Fire(nil)
+			sub.turn.Fire()
 			continue
 		}
-		c.Net.Send(s.node, sub.node, func() { sub.turn.Fire(nil) })
+		c.Net.Send(s.node, sub.node, func() { sub.turn.Fire() })
 	}
 }
 

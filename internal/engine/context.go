@@ -285,7 +285,7 @@ func (c *Context) Classify(txn *workload.Txn) Class {
 
 // charge attributes elapsed virtual time to a breakdown component. It runs
 // on every operation of every transaction, so it reads the clock straight
-// from the environment instead of detouring through the calling process.
+// from the environment.
 func (c *Context) charge(n *Node, comp metrics.Component, since sim.Time) {
 	if c.measuring {
 		n.breakdown.Add(comp, c.Env.Now()-since)
@@ -294,11 +294,9 @@ func (c *Context) charge(n *Node, comp metrics.Component, since sim.Time) {
 
 // workerSM is one closed-loop worker as a continuation-driven state
 // machine: generate, execute with retries, account, chain to the next
-// transaction — all without ever parking a goroutine. A committed
-// transaction chains to its successor inline (exactly like the retired
-// process loop continued inline after Execute returned), which keeps the
-// event-sequence draws identical to the process formulation; the stack
-// stays bounded because every engine path begins by scheduling its
+// transaction — all as scheduled callbacks. A committed transaction
+// chains to its successor inline, from the engine's k; the stack stays
+// bounded because every engine path begins by scheduling its
 // transaction-overhead wait. The worker owns its one Txn and refills it
 // for every draw: an engine is done with a transaction when it calls k.
 type workerSM struct {
@@ -315,10 +313,9 @@ type workerSM struct {
 	doneFn  func(Class, error)
 }
 
-// StartWorker launches one closed-loop worker. It replaces the former
-// RunWorker process: the initial After(0, ·) draws the same event the
-// worker's Spawn used to, so seeded schedules carry over unchanged. The
-// worker runs until the environment stops dispatching events.
+// StartWorker launches one closed-loop worker, whose first transaction
+// begins in a same-instant event. The worker runs until the environment
+// stops dispatching events.
 func (c *Context) StartWorker(eng Engine, n *Node, rng *sim.RNG) {
 	sm := &workerSM{c: c, eng: eng, n: n, rng: rng}
 	sm.beginFn = sm.begin
@@ -394,40 +391,4 @@ func (c *Context) accountCommit(n *Node, cls Class, txn *workload.Txn, start sim
 			n.counters.CommittedCold++
 		}
 	}
-}
-
-// runK drives a callback state machine to completion from a process:
-// start launches the machine with a completion callback, and the process
-// parks until it fires. It is the bridge tests and examples use to call
-// the continuation-form engine paths from straight-line code.
-func runK(p *sim.Proc, start func(fin func())) {
-	done, parked := false, false
-	start(func() {
-		if parked {
-			p.Env().Resume(0, p)
-		} else {
-			done = true
-		}
-	})
-	if !done {
-		parked = true
-		p.Park()
-	}
-}
-
-// ExecuteSync drives one Execute attempt to completion from a process —
-// the process-form face of the callback engine API (tests, examples,
-// recovery tooling).
-func (c *Context) ExecuteSync(p *sim.Proc, eng Engine, n *Node, txn *workload.Txn) (Class, error) {
-	var (
-		cls Class
-		err error
-	)
-	runK(p, func(fin func()) {
-		eng.Execute(c, n, txn, func(cl Class, e error) {
-			cls, err = cl, e
-			fin()
-		})
-	})
-	return cls, err
 }

@@ -54,9 +54,9 @@ func TestMVCCSnapshotVisibility(t *testing.T) {
 	readOp := workload.Op{Table: 0, Key: 5, Field: 0, Home: 0, Kind: workload.Read, DependsOn: -1}
 	var before, after int64
 	var commitErr error
-	env.Spawn("driver", func(p *sim.Proc) {
-		reader := ctx.newMVCCAttempt() // snapshot taken before the write
-		commitErr = ctx.execOptimisticTxn(p, n, mvccOp(0, 5, workload.Write, 20), ctx.newMVCCAttempt())
+	reader := ctx.newMVCCAttempt() // snapshot taken before the write
+	ctx.execOptimisticTxnK(n, mvccOp(0, 5, workload.Write, 20), ctx.newMVCCAttempt(), func(err error) {
+		commitErr = err
 		before = reader.view(n, readOp)
 		reader.readDone(ctx)
 		late := ctx.newMVCCAttempt()
@@ -88,9 +88,7 @@ func TestMVCCWriteWriteConflictAborts(t *testing.T) {
 	var errs [2]error
 	for i := 0; i < 2; i++ {
 		i := i
-		env.Spawn("writer", func(p *sim.Proc) {
-			errs[i] = ctx.execOptimisticTxn(p, n, mvccOp(0, 7, workload.Add, 1), ctx.newMVCCAttempt())
-		})
+		ctx.execOptimisticTxnK(n, mvccOp(0, 7, workload.Add, 1), ctx.newMVCCAttempt(), func(err error) { errs[i] = err })
 	}
 	env.Run()
 	committed, aborted := 0, 0
@@ -133,25 +131,30 @@ func TestMVCCVersionGCBelowWatermark(t *testing.T) {
 	n := ctx.Nodes[0]
 
 	var serial, retained, reclaimed int
-	env.Spawn("driver", func(p *sim.Proc) {
-		commit := func() {
-			if err := ctx.execOptimisticTxn(p, n, mvccOp(0, 3, workload.Add, 1), ctx.newMVCCAttempt()); err != nil {
+	// commit runs left serial increments, one after another, then then.
+	var commit func(left int, then func())
+	commit = func(left int, then func()) {
+		if left == 0 {
+			then()
+			return
+		}
+		ctx.execOptimisticTxnK(n, mvccOp(0, 3, workload.Add, 1), ctx.newMVCCAttempt(), func(err error) {
+			if err != nil {
 				t.Errorf("serial commit aborted: %v", err)
 			}
-		}
-		for i := 0; i < 20; i++ {
-			commit()
-		}
+			commit(left-1, then)
+		})
+	}
+	commit(20, func() {
 		serial = n.MVCCVersionsStored()
-
 		old := ctx.newMVCCAttempt() // hold the watermark back
-		for i := 0; i < 10; i++ {
-			commit()
-		}
-		retained = n.MVCCVersionsStored()
-		old.readDone(ctx)
-		commit() // first commit past the retired snapshot prunes
-		reclaimed = n.MVCCVersionsStored()
+		commit(10, func() {
+			retained = n.MVCCVersionsStored()
+			old.readDone(ctx)
+			commit(1, func() { // first commit past the retired snapshot prunes
+				reclaimed = n.MVCCVersionsStored()
+			})
+		})
 	})
 	env.Run()
 	if serial > 1 {
@@ -178,11 +181,8 @@ func TestMVCCLostUpdateWindow(t *testing.T) {
 		ctx, env := newMVCCTestContext(2)
 		coordN, homeN := ctx.Nodes[0], ctx.Nodes[1]
 		var errW, errR error
-		env.Spawn("distributed-writer", func(p *sim.Proc) {
-			errW = ctx.execOptimisticTxn(p, coordN, mvccOp(1, 11, workload.Add, 1), ctx.newMVCCAttempt())
-		})
-		env.Spawn("local-writer", func(p *sim.Proc) {
-			p.Sleep(offset)
+		ctx.execOptimisticTxnK(coordN, mvccOp(1, 11, workload.Add, 1), ctx.newMVCCAttempt(), func(err error) { errW = err })
+		env.After(offset, func() {
 			// Read-increment row 11 first, then pad with remote reads so
 			// validation lands after the distributed writer's install.
 			txn := &workload.Txn{Label: "t", Ops: []workload.Op{
@@ -191,7 +191,7 @@ func TestMVCCLostUpdateWindow(t *testing.T) {
 				{Table: 0, Key: 22, Field: 0, Home: 0, Kind: workload.Read, DependsOn: -1},
 				{Table: 0, Key: 23, Field: 0, Home: 0, Kind: workload.Read, DependsOn: -1},
 			}}
-			errR = ctx.execOptimisticTxn(p, homeN, txn, ctx.newMVCCAttempt())
+			ctx.execOptimisticTxnK(homeN, txn, ctx.newMVCCAttempt(), func(err error) { errR = err })
 		})
 		env.Run()
 		committed := int64(0)
@@ -218,32 +218,28 @@ func TestMVCCDistributedWriteConflict(t *testing.T) {
 	local, remote := ctx.Nodes[0], ctx.Nodes[1]
 
 	var raced, winner error
-	env.Spawn("distributed", func(p *sim.Proc) {
-		// The distributed writer reads its snapshot of the remote row,
-		// then a same-node writer on the remote node commits first.
-		at := ctx.newMVCCAttempt()
-		defer at.readDone(ctx)
-		txn := mvccOp(1, 9, workload.Add, 1)
-		ctx.execOptimisticOps(p, local, at, txn.Ops)
-		winner = ctx.execOptimisticTxn(p, remote, mvccOp(1, 9, workload.Add, 1), ctx.newMVCCAttempt())
-		if !at.validateAndPin(local) {
-			t.Error("local validation failed with no local writes")
-		}
-		at.sealed(ctx)
-		coord := twopc.NewCoordinator(ctx.Net, local.ID())
-		var committed bool
-		runK(p, func(fin func()) {
-			coord.CommitK(ctx.optimisticParticipants(at, at.remoteNodes(local.ID())), func(ok bool) {
-				committed = ok
-				fin()
+	// The distributed writer reads its snapshot of the remote row, then a
+	// same-node writer on the remote node commits first.
+	at := ctx.newMVCCAttempt()
+	txn := mvccOp(1, 9, workload.Add, 1)
+	ctx.execOptimisticOpsK(local, at, txn.Ops, func() {
+		ctx.execOptimisticTxnK(remote, mvccOp(1, 9, workload.Add, 1), ctx.newMVCCAttempt(), func(err error) {
+			winner = err
+			if !at.validateAndPin(local) {
+				t.Error("local validation failed with no local writes")
+			}
+			at.sealed(ctx)
+			coord := twopc.NewCoordinator(ctx.Net, local.ID())
+			coord.CommitK(ctx.optimisticParticipants(at, at.remoteNodes(local.ID())), func(committed bool) {
+				if committed {
+					raced = nil
+				} else {
+					ctx.abortOptimistic(local, at)
+					raced = ErrWriteConflict
+				}
+				at.readDone(ctx)
 			})
 		})
-		if committed {
-			raced = nil
-		} else {
-			ctx.abortOptimistic(local, at)
-			raced = ErrWriteConflict
-		}
 	})
 	env.Run()
 	if winner != nil {

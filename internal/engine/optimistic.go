@@ -155,8 +155,7 @@ func applyBufferedOp(at bufferedView, n *Node, op workload.Op) {
 // execOptimisticOpsK runs the operations against the attempt's private
 // view, visiting remote nodes over the network for their reads (the
 // buffered writes travel with the transaction and are shipped at commit).
-// One operation completes before the next is dispatched, exactly like the
-// retired process loop.
+// One operation completes before the next is dispatched.
 func (c *Context) execOptimisticOpsK(n *Node, at voteFirst, ops []workload.Op, k func()) {
 	i := 0
 	var t0 sim.Time
@@ -189,12 +188,6 @@ func (c *Context) execOptimisticOpsK(n *Node, at voteFirst, ops []workload.Op, k
 		})
 	}
 	step()
-}
-
-// execOptimisticOps is the process-form face of execOptimisticOpsK
-// (white-box tests drive partial attempts with it).
-func (c *Context) execOptimisticOps(p *sim.Proc, n *Node, at voteFirst, ops []workload.Op) {
-	runK(p, func(fin func()) { c.execOptimisticOpsK(n, at, ops, fin) })
 }
 
 // abortOptimistic releases all pins (nothing was applied yet). Remote
@@ -231,9 +224,8 @@ func (c *Context) optimisticParticipants(at voteFirst, remotes []netsim.NodeID) 
 }
 
 // execOptimisticTxnK executes an entire cold transaction under a
-// validating scheme. The retired process form charged TxnEngine through a
-// defer on every exit; here each exit charges explicitly before handing
-// the outcome to k.
+// validating scheme. Each exit charges TxnEngine before handing the outcome
+// to k.
 func (c *Context) execOptimisticTxnK(n *Node, txn *workload.Txn, at voteFirst, k func(error)) {
 	t0 := c.Env.Now()
 	c.Env.After(c.Costs.TxnOverhead, func() {
@@ -273,19 +265,6 @@ func (c *Context) execOptimisticTxnK(n *Node, txn *workload.Txn, at voteFirst, k
 			})
 		})
 	})
-}
-
-// execOptimisticTxn is the process-form face of execOptimisticTxnK
-// (white-box tests).
-func (c *Context) execOptimisticTxn(p *sim.Proc, n *Node, txn *workload.Txn, at voteFirst) error {
-	var err error
-	runK(p, func(fin func()) {
-		c.execOptimisticTxnK(n, txn, at, func(e error) {
-			err = e
-			fin()
-		})
-	})
-	return err
 }
 
 // execOptimisticWarmK executes a warm transaction per Appendix A.4: the

@@ -59,8 +59,8 @@ func paritySmallBank(nodes int) *workload.SmallBank {
 }
 
 // serialFinalState builds one cell over gen, drives 300 transactions
-// through it — one at a time from a single driver process, each obtained
-// from next — and returns the final logical state. For P4DB the hot
+// through it — one at a time from a single continuation chain, each
+// obtained from next — and returns the final logical state. For P4DB the hot
 // tuples' values live in the switch registers, so reads go through the
 // engine's data placement.
 func serialFinalState(t *testing.T, cell gridCell, gen workload.Generator, next func(*sim.RNG, netsim.NodeID) *workload.Txn) map[store.GlobalKey]int64 {
@@ -77,23 +77,30 @@ func serialFinalState(t *testing.T, cell gridCell, gen workload.Generator, next 
 	cfg.SampleTxns = 4000
 	cfg.Switch.SlotsPerArray = 64
 	c := core.NewCluster(cfg, gen)
-	defer c.Env().Shutdown()
 
 	ctx := c.EngineContext()
 	eng := c.Engine()
 	var driveErr error
-	c.Env().Spawn("driver", func(p *sim.Proc) {
-		rng := sim.NewRNG(7)
-		for k := 0; k < txns; k++ {
-			txn := next(rng, c.Node(0).ID())
-			if _, err := ctx.ExecuteSync(p, eng, c.Node(0), txn); err != nil {
+	rng := sim.NewRNG(7)
+	k := 0
+	var drive func()
+	drive = func() {
+		if k == txns {
+			return
+		}
+		txn := next(rng, c.Node(0).ID())
+		eng.Execute(ctx, c.Node(0), txn, func(_ engine.Class, err error) {
+			if err != nil {
 				// Serial execution cannot conflict; a single retry
 				// would mask a real strategy bug, so fail instead.
 				driveErr = fmt.Errorf("%s/%s: txn %d aborted: %w", cell.engine, cell.scheme, k, err)
 				return
 			}
-		}
-	})
+			k++
+			drive() // the next transaction starts from this one's k
+		})
+	}
+	c.Env().After(0, drive)
 	c.Env().Run()
 	if driveErr != nil {
 		t.Fatal(driveErr)
@@ -137,7 +144,7 @@ func requireSameState(t *testing.T, ref gridCell, want map[store.GlobalKey]int64
 // TestEngineSchemeGridSerialParity drives an identical, serial sequence
 // of SmallBank transactions through the full engine x scheme grid and
 // asserts every pairing reaches the same final database state. With a
-// single driver process there is no concurrency, so every combination —
+// single driver chain there is no concurrency, so every combination —
 // 2PL, OCC or MVCC under every execution strategy — must apply exactly
 // the same serial history; any divergence is an isolation or bookkeeping
 // bug in that strategy or scheme.

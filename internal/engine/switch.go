@@ -219,12 +219,6 @@ func (f *hotFrame) switchDone() {
 	k(ClassHot, nil)
 }
 
-// ExecHot is the process-form face of ExecHotK (tests and recovery
-// drivers).
-func (c *Context) ExecHot(p *sim.Proc, n *Node, txn *workload.Txn) {
-	runK(p, func(fin func()) { c.ExecHotK(n, txn, func(Class, error) { fin() }) })
-}
-
 // crossTemperatureDeps reports whether any operation depends on an
 // operation of the other temperature class.
 func crossTemperatureDeps(txn *workload.Txn, hot func(workload.Op) bool) bool {

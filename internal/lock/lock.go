@@ -4,10 +4,11 @@
 // immediately on any lock conflict) and WAIT_DIE (a transaction waits only
 // for locks owned by younger transactions, otherwise it aborts).
 //
-// The table is driven by the discrete-event simulator: waiting blocks the
-// calling process on a signal that the releasing transaction fires, so
-// lock hold times and queueing delays appear on the virtual timeline
-// exactly as they would on a real node.
+// The table is driven by the discrete-event simulator: a waiting request
+// parks its continuation in the key's FIFO queue and the releasing
+// transaction schedules it as a same-instant event, so lock hold times and
+// queueing delays appear on the virtual timeline exactly as they would on a
+// real node.
 package lock
 
 import (
@@ -128,16 +129,14 @@ func (t *Txn) hold(key Key, m Mode) {
 	t.held = append(t.held, heldLock{key, m})
 }
 
-// waiter is one queued lock request. Exactly one of sig (process waiter,
-// woken via Signal.Fire), k (AcquireK's continuation, invoked with nil) or
-// wake (AcquireWaitK's) is set; each costs one scheduled event per grant,
-// so the styles produce identical seeded schedules. Waiters are pooled on
-// the table with wakeFn cached, so a WAIT_DIE wait allocates nothing.
+// waiter is one queued lock request. Exactly one of k (AcquireK's
+// continuation, invoked with nil) or wake (AcquireWaitK's) is set; either
+// costs one scheduled event per grant. Waiters are pooled on the table with
+// wakeFn cached, so a WAIT_DIE wait allocates nothing.
 type waiter struct {
 	tb   *Table
 	txn  *Txn
 	mode Mode
-	sig  *sim.Signal
 	k    func(error)
 	wake func()
 
@@ -255,7 +254,7 @@ func (tb *Table) enqueue(e *entry, txn *Txn, m Mode) *waiter {
 }
 
 func (tb *Table) putWaiter(w *waiter) {
-	w.txn, w.sig, w.k, w.wake = nil, nil, nil, nil
+	w.txn, w.k, w.wake = nil, nil, nil
 	tb.freeWaiters = append(tb.freeWaiters, w)
 }
 
@@ -307,30 +306,14 @@ func (tb *Table) request(txn *Txn, key Key, m Mode) (e *entry, wait bool, err er
 	return e, true, nil
 }
 
-// Acquire requests key in mode m for txn, blocking the calling process if
-// the policy allows waiting. It returns nil on grant or an abort error
-// (ErrConflict / ErrDie) the caller must translate into a transaction
-// abort. Re-acquiring a held lock in the same or weaker mode is a no-op;
-// Shared->Exclusive upgrades follow the same conflict rules.
-func (tb *Table) Acquire(p *sim.Proc, txn *Txn, key Key, m Mode) error {
-	e, wait, err := tb.request(txn, key, m)
-	if !wait {
-		return err
-	}
-	sig := tb.env.NewSignal()
-	tb.enqueue(e, txn, m).sig = sig
-	// The releaser installs us as owner before firing.
-	p.Await(sig)
-	return nil
-}
-
-// AcquireK is the continuation form of Acquire: instead of blocking a
-// process, it invokes k with the grant result — inline when the request is
-// decided immediately (grant or abort error), or as a same-instant callback
-// scheduled by the releasing transaction when the request waits. The wake-up
-// event sits exactly where a process waiter's Signal.Fire wake-up would, so
-// seeded schedules are identical across the two forms. Waiting rides a
-// pooled waiter, so neither outcome allocates at steady state.
+// AcquireK requests key in mode m for txn and invokes k with the grant
+// result: inline when the request is decided immediately (nil on grant, or
+// the abort error ErrConflict / ErrDie the caller must translate into a
+// transaction abort), or as a same-instant callback scheduled by the
+// releasing transaction when the policy lets the request wait. Re-acquiring
+// a held lock in the same or weaker mode is a no-op; Shared->Exclusive
+// upgrades follow the same conflict rules. Waiting rides a pooled waiter, so
+// neither outcome allocates at steady state.
 func (tb *Table) AcquireK(txn *Txn, key Key, m Mode, k func(error)) {
 	e, wait, err := tb.request(txn, key, m)
 	if !wait {
@@ -347,7 +330,7 @@ func (tb *Table) requestWait(txn *Txn, key Key, m Mode) (e *entry, wait bool) {
 		if held == Exclusive || m == Shared {
 			return nil, false // already sufficient
 		}
-		panic("lock: AcquireWait upgrade would deadlock; request the strongest mode first")
+		panic("lock: AcquireWaitK upgrade would deadlock; request the strongest mode first")
 	}
 	e = tb.entryFor(key)
 	// Join the FIFO queue even when compatible with the owners if anyone
@@ -362,35 +345,22 @@ func (tb *Table) requestWait(txn *Txn, key Key, m Mode) (e *entry, wait bool) {
 	return e, true
 }
 
-// AcquireWait requests key in mode m for txn and always waits — FIFO,
+// AcquireWaitK requests key in mode m for txn and always waits — FIFO,
 // behind the current owners and every queued waiter — regardless of the
-// table's deadlock-prevention policy. It never returns an abort: it is the
-// acquisition primitive of deterministic (Calvin-style) locking, where the
-// caller guarantees deadlock freedom externally by acquiring its entire
-// pre-declared lock set in one global key order. With ordered acquisition
-// a waiter only ever holds keys smaller than the one it waits on, so every
-// waits-for chain runs strictly uphill and can never close into a cycle —
-// no waits-for graph, no deadlock detection, no aborts.
+// table's deadlock-prevention policy: k runs inline on an immediate grant,
+// or as the releaser's same-instant wake-up callback once the queue reaches
+// this request. It never aborts: it is the acquisition primitive of
+// deterministic (Calvin-style) locking, where the caller guarantees
+// deadlock freedom externally by acquiring its entire pre-declared lock set
+// in one global key order. With ordered acquisition a waiter only ever
+// holds keys smaller than the one it waits on, so every waits-for chain
+// runs strictly uphill and can never close into a cycle — no waits-for
+// graph, no deadlock detection, no aborts.
 //
 // Callers must request each key once, in its strongest mode (ordered
 // acquisition forbids the Shared->Exclusive upgrade, which waits on a key
 // already held); re-requesting a key in the same or weaker mode stays a
 // no-op for convenience.
-func (tb *Table) AcquireWait(p *sim.Proc, txn *Txn, key Key, m Mode) {
-	e, wait := tb.requestWait(txn, key, m)
-	if !wait {
-		return
-	}
-	sig := tb.env.NewSignal()
-	tb.enqueue(e, txn, m).sig = sig
-	// The releaser installs us as owner before firing (see grantWaiters).
-	p.Await(sig)
-}
-
-// AcquireWaitK is the continuation form of AcquireWait: k runs inline on an
-// immediate grant, or as the releaser's same-instant wake-up callback after
-// the FIFO queue reaches this request. See AcquireWait for the ordered
-// deterministic-locking contract.
 func (tb *Table) AcquireWaitK(txn *Txn, key Key, m Mode, k func()) {
 	e, wait := tb.requestWait(txn, key, m)
 	if !wait {
@@ -452,15 +422,11 @@ func (tb *Table) grantWaiters(key Key, e *entry) {
 		// array for the entry's next incarnation.
 		e.waiters = slices.Delete(e.waiters, 0, 1)
 		tb.grant(e, w.txn, key, w.mode)
-		switch {
-		case w.k != nil:
+		if w.k != nil {
 			tb.env.After(0, w.wakeFn) // recycles w when it runs
 			continue
-		case w.sig != nil:
-			w.sig.Fire(nil)
-		default:
-			tb.env.After(0, w.wake)
 		}
+		tb.env.After(0, w.wake)
 		tb.putWaiter(w)
 	}
 }

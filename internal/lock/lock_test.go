@@ -8,113 +8,108 @@ import (
 	"repro/internal/sim"
 )
 
+// acquireNow runs AcquireK for a request the table decides on the spot and
+// returns the outcome; it fails the test if the request queued instead.
+func acquireNow(t *testing.T, tb *Table, txn *Txn, key Key, m Mode) error {
+	t.Helper()
+	var err error
+	decided := false
+	tb.AcquireK(txn, key, m, func(e error) { err, decided = e, true })
+	if !decided {
+		t.Fatalf("request for key %d queued, want an immediate decision", key)
+	}
+	return err
+}
+
 func TestSharedLocksCoexist(t *testing.T) {
 	e := sim.NewEnv(1)
 	tb := NewTable(e, NoWait)
 	t1, t2 := NewTxn(1), NewTxn(2)
-	e.Spawn("p", func(p *sim.Proc) {
-		if err := tb.Acquire(p, t1, 10, Shared); err != nil {
-			t.Errorf("t1: %v", err)
-		}
-		if err := tb.Acquire(p, t2, 10, Shared); err != nil {
-			t.Errorf("t2: %v", err)
-		}
-		if tb.Owners(10) != 2 {
-			t.Errorf("owners = %d, want 2", tb.Owners(10))
-		}
-	})
-	e.Run()
+	if err := acquireNow(t, tb, t1, 10, Shared); err != nil {
+		t.Errorf("t1: %v", err)
+	}
+	if err := acquireNow(t, tb, t2, 10, Shared); err != nil {
+		t.Errorf("t2: %v", err)
+	}
+	if tb.Owners(10) != 2 {
+		t.Errorf("owners = %d, want 2", tb.Owners(10))
+	}
 }
 
 func TestExclusiveConflictsNoWait(t *testing.T) {
 	e := sim.NewEnv(1)
 	tb := NewTable(e, NoWait)
 	t1, t2 := NewTxn(1), NewTxn(2)
-	e.Spawn("p", func(p *sim.Proc) {
-		if err := tb.Acquire(p, t1, 10, Exclusive); err != nil {
-			t.Errorf("t1: %v", err)
-		}
-		err := tb.Acquire(p, t2, 10, Exclusive)
-		if !errors.Is(err, ErrAbort) || !errors.Is(err, ErrConflict) {
-			t.Errorf("t2 err = %v, want ErrConflict", err)
-		}
-		err = tb.Acquire(p, t2, 10, Shared)
-		if !errors.Is(err, ErrConflict) {
-			t.Errorf("t2 shared err = %v, want ErrConflict", err)
-		}
-	})
-	e.Run()
+	if err := acquireNow(t, tb, t1, 10, Exclusive); err != nil {
+		t.Errorf("t1: %v", err)
+	}
+	err := acquireNow(t, tb, t2, 10, Exclusive)
+	if !errors.Is(err, ErrAbort) || !errors.Is(err, ErrConflict) {
+		t.Errorf("t2 err = %v, want ErrConflict", err)
+	}
+	err = acquireNow(t, tb, t2, 10, Shared)
+	if !errors.Is(err, ErrConflict) {
+		t.Errorf("t2 shared err = %v, want ErrConflict", err)
+	}
 }
 
 func TestReacquireIsNoop(t *testing.T) {
 	e := sim.NewEnv(1)
 	tb := NewTable(e, NoWait)
 	t1 := NewTxn(1)
-	e.Spawn("p", func(p *sim.Proc) {
-		if err := tb.Acquire(p, t1, 5, Exclusive); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.Acquire(p, t1, 5, Exclusive); err != nil {
-			t.Errorf("re-acquire X: %v", err)
-		}
-		if err := tb.Acquire(p, t1, 5, Shared); err != nil {
-			t.Errorf("S after X: %v", err)
-		}
-		if t1.NumHeld() != 1 {
-			t.Errorf("NumHeld = %d, want 1", t1.NumHeld())
-		}
-	})
-	e.Run()
+	if err := acquireNow(t, tb, t1, 5, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := acquireNow(t, tb, t1, 5, Exclusive); err != nil {
+		t.Errorf("re-acquire X: %v", err)
+	}
+	if err := acquireNow(t, tb, t1, 5, Shared); err != nil {
+		t.Errorf("S after X: %v", err)
+	}
+	if t1.NumHeld() != 1 {
+		t.Errorf("NumHeld = %d, want 1", t1.NumHeld())
+	}
 }
 
 func TestUpgradeSoleOwner(t *testing.T) {
 	e := sim.NewEnv(1)
 	tb := NewTable(e, NoWait)
 	t1 := NewTxn(1)
-	e.Spawn("p", func(p *sim.Proc) {
-		if err := tb.Acquire(p, t1, 5, Shared); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.Acquire(p, t1, 5, Exclusive); err != nil {
-			t.Errorf("sole-owner upgrade failed: %v", err)
-		}
-		if m, _ := t1.Holds(5); m != Exclusive {
-			t.Errorf("mode = %v, want X", m)
-		}
-	})
-	e.Run()
+	if err := acquireNow(t, tb, t1, 5, Shared); err != nil {
+		t.Fatal(err)
+	}
+	if err := acquireNow(t, tb, t1, 5, Exclusive); err != nil {
+		t.Errorf("sole-owner upgrade failed: %v", err)
+	}
+	if m, _ := t1.Holds(5); m != Exclusive {
+		t.Errorf("mode = %v, want X", m)
+	}
 }
 
 func TestUpgradeConflictNoWait(t *testing.T) {
 	e := sim.NewEnv(1)
 	tb := NewTable(e, NoWait)
 	t1, t2 := NewTxn(1), NewTxn(2)
-	e.Spawn("p", func(p *sim.Proc) {
-		_ = tb.Acquire(p, t1, 5, Shared)
-		_ = tb.Acquire(p, t2, 5, Shared)
-		if err := tb.Acquire(p, t1, 5, Exclusive); !errors.Is(err, ErrConflict) {
-			t.Errorf("upgrade with co-owner: %v, want conflict", err)
-		}
-	})
-	e.Run()
+	_ = acquireNow(t, tb, t1, 5, Shared)
+	_ = acquireNow(t, tb, t2, 5, Shared)
+	if err := acquireNow(t, tb, t1, 5, Exclusive); !errors.Is(err, ErrConflict) {
+		t.Errorf("upgrade with co-owner: %v, want conflict", err)
+	}
 }
 
 func TestReleaseAllFreesLocks(t *testing.T) {
 	e := sim.NewEnv(1)
 	tb := NewTable(e, NoWait)
 	t1, t2 := NewTxn(1), NewTxn(2)
-	e.Spawn("p", func(p *sim.Proc) {
-		_ = tb.Acquire(p, t1, 1, Exclusive)
-		_ = tb.Acquire(p, t1, 2, Shared)
-		tb.ReleaseAll(t1)
-		if t1.NumHeld() != 0 {
-			t.Errorf("NumHeld = %d after release", t1.NumHeld())
-		}
-		if err := tb.Acquire(p, t2, 1, Exclusive); err != nil {
-			t.Errorf("lock not freed: %v", err)
-		}
-	})
-	e.Run()
+	_ = acquireNow(t, tb, t1, 1, Exclusive)
+	_ = acquireNow(t, tb, t1, 2, Shared)
+	tb.ReleaseAll(t1)
+	if t1.NumHeld() != 0 {
+		t.Errorf("NumHeld = %d after release", t1.NumHeld())
+	}
+	if err := acquireNow(t, tb, t2, 1, Exclusive); err != nil {
+		t.Errorf("lock not freed: %v", err)
+	}
 }
 
 func TestWaitDieOlderWaits(t *testing.T) {
@@ -122,19 +117,17 @@ func TestWaitDieOlderWaits(t *testing.T) {
 	tb := NewTable(e, WaitDie)
 	old, young := NewTxn(1), NewTxn(2)
 	var grantedAt sim.Time
-	e.Spawn("young", func(p *sim.Proc) {
-		if err := tb.Acquire(p, young, 7, Exclusive); err != nil {
-			t.Errorf("young: %v", err)
-		}
-		p.Sleep(100)
-		tb.ReleaseAll(young)
-	})
-	e.Spawn("old", func(p *sim.Proc) {
-		p.Sleep(10) // let young take the lock first
-		if err := tb.Acquire(p, old, 7, Exclusive); err != nil {
-			t.Errorf("old should wait, got %v", err)
-		}
-		grantedAt = p.Now()
+	if err := acquireNow(t, tb, young, 7, Exclusive); err != nil {
+		t.Errorf("young: %v", err)
+	}
+	e.After(100, func() { tb.ReleaseAll(young) })
+	e.After(10, func() { // young took the lock first
+		tb.AcquireK(old, 7, Exclusive, func(err error) {
+			if err != nil {
+				t.Errorf("old should wait, got %v", err)
+			}
+			grantedAt = e.Now()
+		})
 	})
 	e.Run()
 	if grantedAt != 100 {
@@ -146,56 +139,65 @@ func TestWaitDieYoungerDies(t *testing.T) {
 	e := sim.NewEnv(1)
 	tb := NewTable(e, WaitDie)
 	old, young := NewTxn(1), NewTxn(2)
-	e.Spawn("p", func(p *sim.Proc) {
-		if err := tb.Acquire(p, old, 7, Exclusive); err != nil {
-			t.Fatal(err)
-		}
-		err := tb.Acquire(p, young, 7, Exclusive)
-		if !errors.Is(err, ErrDie) {
-			t.Errorf("young err = %v, want ErrDie", err)
-		}
-	})
-	e.Run()
+	if err := acquireNow(t, tb, old, 7, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	err := acquireNow(t, tb, young, 7, Exclusive)
+	if !errors.Is(err, ErrDie) {
+		t.Errorf("young err = %v, want ErrDie", err)
+	}
 }
 
 func TestWaitDieNeverDeadlocks(t *testing.T) {
 	// Many transactions locking overlapping key pairs in opposite orders:
-	// with WAIT_DIE the simulation must always drain (no deadlock leaves
-	// parked processes, which Run would expose as a non-empty Live set).
+	// with WAIT_DIE the simulation must always drain with every worker
+	// chain finished (a deadlock strands a chain in a lock queue).
 	e := sim.NewEnv(17)
 	tb := NewTable(e, WaitDie)
 	var ts uint64
-	committed := 0
+	committed, finished := 0, 0
 	for w := 0; w < 16; w++ {
 		rng := e.Rand().Fork(uint64(w))
-		e.Spawn("w", func(p *sim.Proc) {
-			for i := 0; i < 50; i++ {
-				ts++
-				txn := NewTxn(ts)
-				k1 := Key(rng.Intn(5))
-				k2 := Key(rng.Intn(5))
-				ok := true
-				if err := tb.Acquire(p, txn, k1, Exclusive); err != nil {
-					ok = false
-				}
-				if ok {
-					p.Sleep(sim.Time(rng.Intn(50)))
-					if err := tb.Acquire(p, txn, k2, Exclusive); err != nil {
-						ok = false
-					}
-				}
-				if ok {
-					p.Sleep(sim.Time(rng.Intn(50)))
-					committed++
-				}
-				tb.ReleaseAll(txn)
-				p.Sleep(sim.Time(rng.Intn(20)))
+		i := 0
+		var iter func()
+		iter = func() {
+			if i == 50 {
+				finished++
+				return
 			}
-		})
+			i++
+			ts++
+			txn := NewTxn(ts)
+			k1 := Key(rng.Intn(5))
+			k2 := Key(rng.Intn(5))
+			next := func() {
+				tb.ReleaseAll(txn)
+				e.After(sim.Time(rng.Intn(20)), iter)
+			}
+			tb.AcquireK(txn, k1, Exclusive, func(err error) {
+				if err != nil {
+					next()
+					return
+				}
+				e.After(sim.Time(rng.Intn(50)), func() {
+					tb.AcquireK(txn, k2, Exclusive, func(err error) {
+						if err != nil {
+							next()
+							return
+						}
+						e.After(sim.Time(rng.Intn(50)), func() {
+							committed++
+							next()
+						})
+					})
+				})
+			})
+		}
+		e.After(0, iter)
 	}
 	e.Run()
-	if e.Live() != 0 {
-		t.Fatalf("%d processes still parked: deadlock", e.Live())
+	if finished != 16 {
+		t.Fatalf("%d of 16 workers finished: deadlock", finished)
 	}
 	if committed == 0 {
 		t.Fatal("nothing committed")
@@ -216,22 +218,35 @@ func TestMutualExclusionInvariant(t *testing.T) {
 		violations := 0
 		for w := 0; w < 12; w++ {
 			rng := e.Rand().Fork(uint64(w))
-			e.Spawn("w", func(p *sim.Proc) {
-				for i := 0; i < 40; i++ {
-					ts++
-					txn := NewTxn(ts)
-					if err := tb.Acquire(p, txn, 1, Exclusive); err == nil {
-						inCS++
-						if inCS > 1 {
-							violations++
-						}
-						p.Sleep(sim.Time(rng.Intn(30) + 1))
-						inCS--
-					}
-					tb.ReleaseAll(txn)
-					p.Sleep(sim.Time(rng.Intn(10)))
+			i := 0
+			var iter func()
+			iter = func() {
+				if i == 40 {
+					return
 				}
-			})
+				i++
+				ts++
+				txn := NewTxn(ts)
+				next := func() {
+					tb.ReleaseAll(txn)
+					e.After(sim.Time(rng.Intn(10)), iter)
+				}
+				tb.AcquireK(txn, 1, Exclusive, func(err error) {
+					if err != nil {
+						next()
+						return
+					}
+					inCS++
+					if inCS > 1 {
+						violations++
+					}
+					e.After(sim.Time(rng.Intn(30)+1), func() {
+						inCS--
+						next()
+					})
+				})
+			}
+			e.After(0, iter)
 		}
 		e.Run()
 		if violations > 0 {
@@ -245,23 +260,20 @@ func TestWaitersGrantedFIFO(t *testing.T) {
 	tb := NewTable(e, WaitDie)
 	holder := NewTxn(100)
 	var order []int
-	e.Spawn("holder", func(p *sim.Proc) {
-		_ = tb.Acquire(p, holder, 9, Exclusive)
-		p.Sleep(1000)
-		tb.ReleaseAll(holder)
-	})
+	_ = acquireNow(t, tb, holder, 9, Exclusive)
+	e.After(1000, func() { tb.ReleaseAll(holder) })
 	for i := 0; i < 3; i++ {
 		i := i
-		txn := NewTxn(uint64(i + 1)) // older than holder -> waits
-		e.Spawn("waiter", func(p *sim.Proc) {
-			p.Sleep(sim.Time(10 * (i + 1))) // arrive in order 0,1,2
-			if err := tb.Acquire(p, txn, 9, Exclusive); err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-				return
-			}
-			order = append(order, i)
-			p.Sleep(5)
-			tb.ReleaseAll(txn)
+		txn := NewTxn(uint64(i + 1))         // older than holder -> waits
+		e.After(sim.Time(10*(i+1)), func() { // arrive in order 0,1,2
+			tb.AcquireK(txn, 9, Exclusive, func(err error) {
+				if err != nil {
+					t.Errorf("waiter %d: %v", i, err)
+					return
+				}
+				order = append(order, i)
+				e.After(5, func() { tb.ReleaseAll(txn) })
+			})
 		})
 	}
 	e.Run()
@@ -275,20 +287,18 @@ func TestSharedWaitersGrantedTogether(t *testing.T) {
 	tb := NewTable(e, WaitDie)
 	holder := NewTxn(100)
 	var grantTimes []sim.Time
-	e.Spawn("holder", func(p *sim.Proc) {
-		_ = tb.Acquire(p, holder, 9, Exclusive)
-		p.Sleep(500)
-		tb.ReleaseAll(holder)
-	})
+	_ = acquireNow(t, tb, holder, 9, Exclusive)
+	e.After(500, func() { tb.ReleaseAll(holder) })
 	for i := 0; i < 3; i++ {
 		txn := NewTxn(uint64(i + 1))
-		e.Spawn("reader", func(p *sim.Proc) {
-			p.Sleep(10)
-			if err := tb.Acquire(p, txn, 9, Shared); err != nil {
-				t.Errorf("reader: %v", err)
-				return
-			}
-			grantTimes = append(grantTimes, p.Now())
+		e.After(10, func() {
+			tb.AcquireK(txn, 9, Shared, func(err error) {
+				if err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+				grantTimes = append(grantTimes, e.Now())
+			})
 		})
 	}
 	e.Run()
@@ -318,11 +328,8 @@ func TestStatsCounting(t *testing.T) {
 	e := sim.NewEnv(1)
 	tb := NewTable(e, NoWait)
 	t1, t2 := NewTxn(1), NewTxn(2)
-	e.Spawn("p", func(p *sim.Proc) {
-		_ = tb.Acquire(p, t1, 1, Exclusive)
-		_ = tb.Acquire(p, t2, 1, Exclusive) // conflict + abort
-	})
-	e.Run()
+	_ = acquireNow(t, tb, t1, 1, Exclusive)
+	_ = acquireNow(t, tb, t2, 1, Exclusive) // conflict + abort
 	if tb.Stats.Acquired != 1 || tb.Stats.Conflicts != 1 || tb.Stats.Aborts != 1 {
 		t.Fatalf("stats = %+v", tb.Stats)
 	}
@@ -332,44 +339,51 @@ func TestEntryGarbageCollected(t *testing.T) {
 	e := sim.NewEnv(1)
 	tb := NewTable(e, NoWait)
 	t1 := NewTxn(1)
-	e.Spawn("p", func(p *sim.Proc) {
-		_ = tb.Acquire(p, t1, 1, Exclusive)
-		tb.ReleaseAll(t1)
-	})
-	e.Run()
+	_ = acquireNow(t, tb, t1, 1, Exclusive)
+	tb.ReleaseAll(t1)
 	if len(tb.entries) != 0 {
 		t.Fatalf("entries leaked: %d", len(tb.entries))
 	}
 }
 
+// acquireWaitNow runs AcquireWaitK for a request granted on the spot; it
+// fails the test if the request queued instead.
+func acquireWaitNow(t *testing.T, tb *Table, txn *Txn, key Key, m Mode) {
+	t.Helper()
+	granted := false
+	tb.AcquireWaitK(txn, key, m, func() { granted = true })
+	if !granted {
+		t.Fatalf("request for key %d queued, want an immediate grant", key)
+	}
+}
+
 func TestAcquireWaitNeverAborts(t *testing.T) {
-	// AcquireWait must wait FIFO regardless of the table's policy — here
-	// NO_WAIT, which would abort a plain Acquire immediately.
+	// AcquireWaitK must wait FIFO regardless of the table's policy — here
+	// NO_WAIT, which would abort a plain AcquireK immediately.
 	e := sim.NewEnv(1)
 	tb := NewTable(e, NoWait)
 	t1, t2 := NewTxn(1), NewTxn(2)
 	var got []int
-	e.Spawn("holder", func(p *sim.Proc) {
-		tb.AcquireWait(p, t1, 10, Exclusive)
-		p.Sleep(5 * sim.Microsecond)
+	acquireWaitNow(t, tb, t1, 10, Exclusive)
+	e.After(5*sim.Microsecond, func() {
 		got = append(got, 1)
 		tb.ReleaseAll(t1)
 	})
-	e.Spawn("waiter", func(p *sim.Proc) {
-		p.Sleep(1 * sim.Microsecond)
-		tb.AcquireWait(p, t2, 10, Exclusive)
-		got = append(got, 2)
-		if _, held := t2.Holds(10); !held {
-			t.Error("waiter resumed without holding the lock")
-		}
-		tb.ReleaseAll(t2)
+	e.After(1*sim.Microsecond, func() {
+		tb.AcquireWaitK(t2, 10, Exclusive, func() {
+			got = append(got, 2)
+			if _, held := t2.Holds(10); !held {
+				t.Error("waiter resumed without holding the lock")
+			}
+			tb.ReleaseAll(t2)
+		})
 	})
 	e.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("execution order = %v, want [1 2] (waiter granted on release)", got)
 	}
 	if tb.Stats.Aborts != 0 {
-		t.Fatalf("AcquireWait recorded %d aborts, want 0", tb.Stats.Aborts)
+		t.Fatalf("AcquireWaitK recorded %d aborts, want 0", tb.Stats.Aborts)
 	}
 }
 
@@ -381,25 +395,21 @@ func TestAcquireWaitFIFOOrderAndNoOvertaking(t *testing.T) {
 	tb := NewTable(e, WaitDie)
 	holder, xreq, sreq := NewTxn(1), NewTxn(2), NewTxn(3)
 	var got []int
-	e.Spawn("holder", func(p *sim.Proc) {
-		tb.AcquireWait(p, holder, 7, Shared)
-		p.Sleep(10 * sim.Microsecond)
-		tb.ReleaseAll(holder)
+	acquireWaitNow(t, tb, holder, 7, Shared)
+	e.After(10*sim.Microsecond, func() { tb.ReleaseAll(holder) })
+	e.After(1*sim.Microsecond, func() {
+		tb.AcquireWaitK(xreq, 7, Exclusive, func() {
+			got = append(got, 2)
+			e.After(1*sim.Microsecond, func() { tb.ReleaseAll(xreq) })
+		})
 	})
-	e.Spawn("exclusive", func(p *sim.Proc) {
-		p.Sleep(1 * sim.Microsecond)
-		tb.AcquireWait(p, xreq, 7, Exclusive)
-		got = append(got, 2)
-		p.Sleep(1 * sim.Microsecond)
-		tb.ReleaseAll(xreq)
-	})
-	e.Spawn("shared", func(p *sim.Proc) {
-		p.Sleep(2 * sim.Microsecond)
+	e.After(2*sim.Microsecond, func() {
 		// Compatible with the shared holder, but behind the exclusive
 		// waiter in the queue.
-		tb.AcquireWait(p, sreq, 7, Shared)
-		got = append(got, 3)
-		tb.ReleaseAll(sreq)
+		tb.AcquireWaitK(sreq, 7, Shared, func() {
+			got = append(got, 3)
+			tb.ReleaseAll(sreq)
+		})
 	})
 	e.Run()
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
@@ -411,22 +421,19 @@ func TestAcquireWaitReacquireIsNoopAndUpgradePanics(t *testing.T) {
 	e := sim.NewEnv(1)
 	tb := NewTable(e, NoWait)
 	t1 := NewTxn(1)
-	e.Spawn("p", func(p *sim.Proc) {
-		tb.AcquireWait(p, t1, 5, Exclusive)
-		tb.AcquireWait(p, t1, 5, Exclusive) // no-op
-		tb.AcquireWait(p, t1, 5, Shared)    // weaker: no-op
-		if tb.Owners(5) != 1 {
-			t.Errorf("owners = %d, want 1", tb.Owners(5))
+	acquireWaitNow(t, tb, t1, 5, Exclusive)
+	acquireWaitNow(t, tb, t1, 5, Exclusive) // no-op
+	acquireWaitNow(t, tb, t1, 5, Shared)    // weaker: no-op
+	if tb.Owners(5) != 1 {
+		t.Errorf("owners = %d, want 1", tb.Owners(5))
+	}
+	acquireWaitNow(t, tb, t1, 6, Shared)
+	defer func() {
+		if recover() == nil {
+			t.Error("S->X upgrade via AcquireWaitK did not panic")
 		}
-		tb.AcquireWait(p, t1, 6, Shared)
-		defer func() {
-			if recover() == nil {
-				t.Error("S->X upgrade via AcquireWait did not panic")
-			}
-		}()
-		tb.AcquireWait(p, t1, 6, Exclusive)
-	})
-	e.Run()
+	}()
+	tb.AcquireWaitK(t1, 6, Exclusive, func() {})
 }
 
 func TestReleaseAllOrderedGrantsInKeyOrder(t *testing.T) {
@@ -438,11 +445,10 @@ func TestReleaseAllOrderedGrantsInKeyOrder(t *testing.T) {
 	holder := NewTxn(1)
 	keys := []Key{40, 10, 30, 20}
 	var woken []Key
-	e.Spawn("holder", func(p *sim.Proc) {
-		for _, k := range keys {
-			tb.AcquireWait(p, holder, k, Exclusive)
-		}
-		p.Sleep(5 * sim.Microsecond)
+	for _, k := range keys {
+		acquireWaitNow(t, tb, holder, k, Exclusive)
+	}
+	e.After(5*sim.Microsecond, func() {
 		tb.ReleaseAllOrdered(holder)
 		if holder.NumHeld() != 0 {
 			t.Errorf("holder still holds %d locks after ReleaseAllOrdered", holder.NumHeld())
@@ -451,11 +457,11 @@ func TestReleaseAllOrderedGrantsInKeyOrder(t *testing.T) {
 	for i, k := range keys {
 		k := k
 		w := NewTxn(uint64(10 + i))
-		e.Spawn("waiter", func(p *sim.Proc) {
-			p.Sleep(1 * sim.Microsecond)
-			tb.AcquireWait(p, w, k, Exclusive)
-			woken = append(woken, k)
-			tb.ReleaseAll(w)
+		e.After(1*sim.Microsecond, func() {
+			tb.AcquireWaitK(w, k, Exclusive, func() {
+				woken = append(woken, k)
+				tb.ReleaseAll(w)
+			})
 		})
 	}
 	e.Run()

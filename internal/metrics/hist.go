@@ -13,9 +13,10 @@ import (
 // is safe on the serving hot path (one histogram per connection, merged at
 // report time) and cheap enough for the sim's per-commit accounting.
 //
-// Mean is exact (sum/count with the same integer division the sample-keeping
-// Histogram used), which keeps bench.Digest's MeanLatUs column bit-identical;
-// Percentile is bucketed and therefore excluded from digests — print-only.
+// Mean is exact (sum/count with the same integer division as the
+// sample-keeping Histogram oracle in hist_test.go), which keeps
+// bench.Digest's MeanLatUs column bit-identical; Percentile is bucketed and
+// therefore excluded from digests — print-only.
 type LatencyHist struct {
 	n      int64
 	sum    sim.Time

@@ -8,6 +8,61 @@ import (
 	"repro/internal/sim"
 )
 
+// Histogram is the exact oracle for LatencyHist: it keeps every sim.Time
+// sample verbatim and reports count, mean and percentiles from them.
+type Histogram struct {
+	samples []sim.Time
+	sum     sim.Time
+	sorted  bool
+}
+
+// Record adds one sample.
+func (h *Histogram) Record(v sim.Time) {
+	h.samples = append(h.samples, v)
+	h.sum += v
+	h.sorted = false
+}
+
+// Count returns the number of samples.
+func (h *Histogram) Count() int { return len(h.samples) }
+
+// Mean returns the average sample, or 0 when empty.
+func (h *Histogram) Mean() sim.Time {
+	if len(h.samples) == 0 {
+		return 0
+	}
+	return h.sum / sim.Time(len(h.samples))
+}
+
+// Percentile returns the p-th percentile (0 < p <= 100), or 0 when empty.
+func (h *Histogram) Percentile(p float64) sim.Time {
+	if len(h.samples) == 0 {
+		return 0
+	}
+	if !h.sorted {
+		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
+		h.sorted = true
+	}
+	idx := int(p/100*float64(len(h.samples))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(h.samples) {
+		idx = len(h.samples) - 1
+	}
+	return h.samples[idx]
+}
+
+// Max returns the largest sample, or 0 when empty.
+func (h *Histogram) Max() sim.Time { return h.Percentile(100) }
+
+// Merge appends other's samples into h.
+func (h *Histogram) Merge(other *Histogram) {
+	h.samples = append(h.samples, other.samples...)
+	h.sum += other.sum
+	h.sorted = false
+}
+
 // TestLatencyHistExactSmall: values below the sub-bucket width are exact —
 // percentiles match the sample-keeping Histogram bit for bit.
 func TestLatencyHistExactSmall(t *testing.T) {

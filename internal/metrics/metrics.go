@@ -1,7 +1,7 @@
 // Package metrics provides counters, latency histograms and per-component
 // time breakdowns for the simulated DBMS. The per-run types (Counters,
-// Breakdown, Histogram) are plain (non-atomic) because the discrete-event
-// simulator runs one process at a time; metric updates are therefore
+// Breakdown, LatencyHist) are plain (non-atomic) because the discrete-event
+// simulator runs one event at a time; metric updates are therefore
 // race-free by construction, and every run owns its instances — nothing
 // here is shared between the concurrent runs of a parallel sweep.
 //
@@ -12,7 +12,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/sim"
@@ -155,62 +154,6 @@ func (b *Breakdown) Merge(other *Breakdown) {
 		b.total[i] += other.total[i]
 	}
 	b.n += other.n
-}
-
-// Histogram records sim.Time samples and reports count, mean and
-// percentiles. Samples are kept verbatim; simulated runs are short enough
-// that exact percentiles are affordable and reproducible.
-type Histogram struct {
-	samples []sim.Time
-	sum     sim.Time
-	sorted  bool
-}
-
-// Record adds one sample.
-func (h *Histogram) Record(v sim.Time) {
-	h.samples = append(h.samples, v)
-	h.sum += v
-	h.sorted = false
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.samples) }
-
-// Mean returns the average sample, or 0 when empty.
-func (h *Histogram) Mean() sim.Time {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.sum / sim.Time(len(h.samples))
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100), or 0 when empty.
-func (h *Histogram) Percentile(p float64) sim.Time {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-	idx := int(p/100*float64(len(h.samples))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.samples) {
-		idx = len(h.samples) - 1
-	}
-	return h.samples[idx]
-}
-
-// Max returns the largest sample, or 0 when empty.
-func (h *Histogram) Max() sim.Time { return h.Percentile(100) }
-
-// Merge appends other's samples into h.
-func (h *Histogram) Merge(other *Histogram) {
-	h.samples = append(h.samples, other.samples...)
-	h.sum += other.sum
-	h.sorted = false
 }
 
 // Counters tracks the commit/abort accounting a benchmark run reports.

@@ -186,8 +186,7 @@ func (n *Network) SwitchMulticastTo(nodes []NodeID, fn func(id int)) {
 // request leg After(d), the handler "at" the destination, the reply leg
 // After(d, k). The Async forms never run anything inline at the caller:
 // they start with a zero-delay egress hop (the packet leaving the local NIC
-// at the current instant), which also keeps event-sequence draws where the
-// retired courier processes had them. Same-node calls skip the fabric.
+// at the current instant). Same-node calls skip the fabric.
 //
 // A handler that takes a done callback may complete asynchronously (after
 // lock waits, log flushes, switch execution) but must call done exactly

@@ -118,7 +118,7 @@ func TestApplyTxnMatchesExec(t *testing.T) {
 		pkt := &txnwire.Packet{Header: txnwire.Header{IsMultipass: true}, Instrs: instrs}
 		var resp *txnwire.Response
 		var err error
-		e.Spawn("c", func(p *sim.Proc) { resp, err = live.Exec(p, pkt) })
+		execCopy(live, pkt, func(r *txnwire.Response, e error) { resp, err = r, e })
 		e.Run()
 		if err != nil {
 			return false

@@ -405,34 +405,6 @@ func (sw *Switch) ExecK(pkt *txnwire.Packet, k func(*txnwire.Response, error)) {
 	f.admit()
 }
 
-// Exec is the process form of ExecK for straight-line tests: it parks the
-// calling process until the response arrives and returns a copy of it.
-func (sw *Switch) Exec(p *sim.Proc, pkt *txnwire.Packet) (*txnwire.Response, error) {
-	var (
-		resp         *txnwire.Response
-		err          error
-		done, parked bool
-	)
-	sw.ExecK(pkt, func(r *txnwire.Response, e error) {
-		if r != nil {
-			c := *r
-			c.Results = append([]txnwire.Result(nil), r.Results...)
-			resp = &c
-		}
-		err = e
-		if parked {
-			sw.env.Resume(0, p)
-		} else {
-			done = true
-		}
-	})
-	if !done {
-		parked = true
-		p.Park()
-	}
-	return resp, err
-}
-
 // execFrame is the state of one packet inside the switch, from its first
 // admission attempt until its response has been handed over. Frames are
 // free-listed on the Switch with their continuations cached as method
@@ -616,7 +588,7 @@ func (sw *Switch) apply(in txnwire.Instr, ctx *pktCtx) txnwire.Result {
 
 // ApplyTxn replays one whole switch transaction through the control plane
 // with a fresh packet context, used by recovery to re-execute logged
-// transactions. It shares the exact data-plane semantics of Exec but takes
+// transactions. It shares the exact data-plane semantics of ExecK but takes
 // no simulated time.
 func (sw *Switch) ApplyTxn(instrs []txnwire.Instr) []txnwire.Result {
 	ctx := newPktCtx()

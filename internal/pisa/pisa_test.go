@@ -25,19 +25,47 @@ func write(stage, array uint8, idx uint32, v int64) txnwire.Instr {
 	return txnwire.Instr{Op: txnwire.OpWrite, Stage: stage, Array: array, Index: idx, Operand: v}
 }
 
+// execCopy runs pkt through ExecK and hands k a copy of the response:
+// ExecK's Response belongs to the switch's frame and is valid only until its
+// continuation returns.
+func execCopy(sw *Switch, pkt *txnwire.Packet, k func(*txnwire.Response, error)) {
+	sw.ExecK(pkt, func(r *txnwire.Response, err error) {
+		if r == nil {
+			k(nil, err)
+			return
+		}
+		c := *r
+		c.Results = append([]txnwire.Result(nil), r.Results...)
+		k(&c, err)
+	})
+}
+
 // execOne runs a single packet to completion on a fresh env.
 func execOne(t *testing.T, sw *Switch, e *sim.Env, pkt *txnwire.Packet) *txnwire.Response {
 	t.Helper()
 	var resp *txnwire.Response
 	var err error
-	e.Spawn("client", func(p *sim.Proc) {
-		resp, err = sw.Exec(p, pkt)
-	})
+	execCopy(sw, pkt, func(r *txnwire.Response, e error) { resp, err = r, e })
 	e.Run()
 	if err != nil {
-		t.Fatalf("Exec: %v", err)
+		t.Fatalf("ExecK: %v", err)
 	}
 	return resp
+}
+
+// loop runs body n times as a continuation chain started at the current
+// instant: each iteration gets next, which starts the following one.
+func loop(e *sim.Env, n int, body func(next func())) {
+	i := 0
+	var next func()
+	next = func() {
+		if i == n {
+			return
+		}
+		i++
+		body(next)
+	}
+	e.After(0, next)
 }
 
 func TestSinglePassReadWriteAdd(t *testing.T) {
@@ -112,9 +140,7 @@ func TestMultipassNeedsFlag(t *testing.T) {
 		write(0, 0, 1, 5), // same array again -> 2 passes
 	}}
 	var err error
-	e.Spawn("client", func(p *sim.Proc) {
-		_, err = sw.Exec(p, pkt)
-	})
+	sw.ExecK(pkt, func(_ *txnwire.Response, e error) { err = e })
 	e.Run()
 	if err == nil {
 		t.Fatal("unmarked multipass packet accepted")
@@ -161,28 +187,27 @@ func TestPipelinedSerialOrder(t *testing.T) {
 	const txnsPerClient = 40
 	for c := 0; c < clients; c++ {
 		rng := e.Rand().Fork(uint64(c))
-		e.Spawn("client", func(p *sim.Proc) {
-			for k := 0; k < txnsPerClient; k++ {
-				nops := rng.Intn(4) + 1
-				instrs := make([]txnwire.Instr, 0, nops)
-				stage := 0
-				for j := 0; j < nops && stage < cfg.Stages; j++ {
-					op := txnwire.Op(rng.Intn(3)) // read/write/add
-					instrs = append(instrs, txnwire.Instr{
-						Op: op, Stage: uint8(stage), Array: uint8(rng.Intn(cfg.ArraysPerStage)),
-						Index: uint32(rng.Intn(8)), Operand: int64(rng.Intn(100) - 50),
-					})
-					stage += rng.Intn(3) + 1
-				}
-				pkt := &txnwire.Packet{Instrs: instrs}
-				resp, err := sw.Exec(p, pkt)
+		loop(e, txnsPerClient, func(next func()) {
+			nops := rng.Intn(4) + 1
+			instrs := make([]txnwire.Instr, 0, nops)
+			stage := 0
+			for j := 0; j < nops && stage < cfg.Stages; j++ {
+				op := txnwire.Op(rng.Intn(3)) // read/write/add
+				instrs = append(instrs, txnwire.Instr{
+					Op: op, Stage: uint8(stage), Array: uint8(rng.Intn(cfg.ArraysPerStage)),
+					Index: uint32(rng.Intn(8)), Operand: int64(rng.Intn(100) - 50),
+				})
+				stage += rng.Intn(3) + 1
+			}
+			pkt := &txnwire.Packet{Instrs: instrs}
+			sw.ExecK(pkt, func(resp *txnwire.Response, err error) {
 				if err != nil {
-					t.Errorf("Exec: %v", err)
+					t.Errorf("ExecK: %v", err)
 					return
 				}
 				log = append(log, logged{resp.GID, pkt})
-				p.Sleep(sim.Time(rng.Intn(2000)))
-			}
+				e.After(sim.Time(rng.Intn(2000)), next)
+			})
 		})
 	}
 	e.Run()
@@ -218,30 +243,29 @@ func TestMultipassAtomicity(t *testing.T) {
 		bad := 0
 		for c := 0; c < 8; c++ {
 			rng := e.Rand().Fork(uint64(c))
-			e.Spawn("writer", func(p *sim.Proc) {
-				for k := 0; k < 30; k++ {
-					x := int64(rng.Intn(50) + 1)
-					pkt := &txnwire.Packet{
-						Header: txnwire.Header{IsMultipass: true},
-						Instrs: []txnwire.Instr{
-							add(0, 0, 0, x),
-							add(0, 0, 0, -x), // same array -> pass 2
-						},
-					}
-					if _, err := sw.Exec(p, pkt); err != nil {
+			loop(e, 30, func(next func()) {
+				x := int64(rng.Intn(50) + 1)
+				pkt := &txnwire.Packet{
+					Header: txnwire.Header{IsMultipass: true},
+					Instrs: []txnwire.Instr{
+						add(0, 0, 0, x),
+						add(0, 0, 0, -x), // same array -> pass 2
+					},
+				}
+				sw.ExecK(pkt, func(_ *txnwire.Response, err error) {
+					if err != nil {
 						t.Errorf("writer: %v", err)
 						return
 					}
-					p.Sleep(sim.Time(rng.Intn(500)))
-				}
+					e.After(sim.Time(rng.Intn(500)), next)
+				})
 			})
 		}
 		for c := 0; c < 8; c++ {
 			rng := e.Rand().Fork(uint64(100 + c))
-			e.Spawn("reader", func(p *sim.Proc) {
-				for k := 0; k < 60; k++ {
-					pkt := &txnwire.Packet{Instrs: []txnwire.Instr{read(0, 0, 0)}}
-					resp, err := sw.Exec(p, pkt)
+			loop(e, 60, func(next func()) {
+				pkt := &txnwire.Packet{Instrs: []txnwire.Instr{read(0, 0, 0)}}
+				sw.ExecK(pkt, func(resp *txnwire.Response, err error) {
 					if err != nil {
 						t.Errorf("reader: %v", err)
 						return
@@ -249,8 +273,8 @@ func TestMultipassAtomicity(t *testing.T) {
 					if resp.Results[0].Value != 0 {
 						bad++
 					}
-					p.Sleep(sim.Time(rng.Intn(300)))
-				}
+					e.After(sim.Time(rng.Intn(300)), next)
+				})
 			})
 		}
 		e.Run()
@@ -279,23 +303,16 @@ func TestFineLocksAllowDisjointConcurrency(t *testing.T) {
 			}
 		}
 		var end sim.Time
-		done := func(p *sim.Proc) {
-			if p.Now() > end {
-				end = p.Now()
+		done := func(_ *txnwire.Response, err error) {
+			if err != nil {
+				t.Errorf("%v", err)
+			}
+			if e.Now() > end {
+				end = e.Now()
 			}
 		}
-		e.Spawn("low", func(p *sim.Proc) {
-			if _, err := sw.Exec(p, mk(0)); err != nil {
-				t.Errorf("%v", err)
-			}
-			done(p)
-		})
-		e.Spawn("high", func(p *sim.Proc) {
-			if _, err := sw.Exec(p, mk(uint8(cfg.Stages-1))); err != nil {
-				t.Errorf("%v", err)
-			}
-			done(p)
-		})
+		sw.ExecK(mk(0), done)
+		sw.ExecK(mk(uint8(cfg.Stages-1)), done)
 		e.Run()
 		return end
 	}
@@ -316,11 +333,11 @@ func TestFastRecircShortensMultipass(t *testing.T) {
 			Instrs: []txnwire.Instr{add(0, 0, 0, 1), add(0, 0, 0, 1), add(0, 0, 0, 1)},
 		}
 		var end sim.Time
-		e.Spawn("c", func(p *sim.Proc) {
-			if _, err := sw.Exec(p, pkt); err != nil {
+		sw.ExecK(pkt, func(_ *txnwire.Response, err error) {
+			if err != nil {
 				t.Errorf("%v", err)
 			}
-			end = p.Now()
+			end = e.Now()
 		})
 		e.Run()
 		return end
@@ -336,27 +353,28 @@ func TestSinglePassBlockedByConflictingLock(t *testing.T) {
 	e := sim.NewEnv(5)
 	sw := New(e, cfg)
 	var readerDone, writerDone sim.Time
-	e.Spawn("multipass", func(p *sim.Proc) {
-		pkt := &txnwire.Packet{
-			Header: txnwire.Header{IsMultipass: true},
-			Instrs: []txnwire.Instr{add(0, 0, 0, 1), add(0, 0, 0, 1)},
-		}
-		if _, err := sw.Exec(p, pkt); err != nil {
-			t.Errorf("%v", err)
-		}
-		writerDone = p.Now()
-	})
-	e.Spawn("reader", func(p *sim.Proc) {
-		p.Sleep(10) // arrive while the lock is held
-		pkt := &txnwire.Packet{Instrs: []txnwire.Instr{read(0, 0, 0)}}
-		resp, err := sw.Exec(p, pkt)
+	pkt := &txnwire.Packet{
+		Header: txnwire.Header{IsMultipass: true},
+		Instrs: []txnwire.Instr{add(0, 0, 0, 1), add(0, 0, 0, 1)},
+	}
+	sw.ExecK(pkt, func(_ *txnwire.Response, err error) {
 		if err != nil {
 			t.Errorf("%v", err)
 		}
-		if resp.Recircs == 0 {
-			t.Error("reader on locked half was not recirculated")
-		}
-		readerDone = p.Now()
+		writerDone = e.Now()
+	})
+	e.After(10, func() { // arrive while the lock is held
+		pkt := &txnwire.Packet{Instrs: []txnwire.Instr{read(0, 0, 0)}}
+		sw.ExecK(pkt, func(resp *txnwire.Response, err error) {
+			if err != nil {
+				t.Errorf("%v", err)
+				return
+			}
+			if resp.Recircs == 0 {
+				t.Error("reader on locked half was not recirculated")
+			}
+			readerDone = e.Now()
+		})
 	})
 	e.Run()
 	if readerDone <= writerDone-sw.cfg.PipelineLatency {
@@ -372,17 +390,16 @@ func TestGIDsAreDenseAndOrdered(t *testing.T) {
 	sw := New(e, testConfig())
 	var gids []uint64
 	for c := 0; c < 10; c++ {
-		e.Spawn("c", func(p *sim.Proc) {
-			for k := 0; k < 20; k++ {
-				pkt := &txnwire.Packet{Instrs: []txnwire.Instr{add(0, 0, 0, 1)}}
-				resp, err := sw.Exec(p, pkt)
+		loop(e, 20, func(next func()) {
+			pkt := &txnwire.Packet{Instrs: []txnwire.Instr{add(0, 0, 0, 1)}}
+			sw.ExecK(pkt, func(resp *txnwire.Response, err error) {
 				if err != nil {
 					t.Errorf("%v", err)
 					return
 				}
 				gids = append(gids, resp.GID)
-				p.Sleep(sim.Time(p.Rand().Intn(100)))
-			}
+				e.After(sim.Time(e.Rand().Intn(100)), next)
+			})
 		})
 	}
 	e.Run()
@@ -466,13 +483,13 @@ func TestAdmissionGapSerializesLineRate(t *testing.T) {
 	var last sim.Time
 	count := 0
 	for c := 0; c < 5; c++ {
-		e.Spawn("c", func(p *sim.Proc) {
-			pkt := &txnwire.Packet{Instrs: []txnwire.Instr{read(0, 0, 0)}}
-			if _, err := sw.Exec(p, pkt); err != nil {
+		pkt := &txnwire.Packet{Instrs: []txnwire.Instr{read(0, 0, 0)}}
+		sw.ExecK(pkt, func(_ *txnwire.Response, err error) {
+			if err != nil {
 				t.Errorf("%v", err)
 			}
-			if p.Now() > last {
-				last = p.Now()
+			if e.Now() > last {
+				last = e.Now()
 			}
 			count++
 		})

@@ -20,7 +20,7 @@ package sim
 // sequence number exactly like an unbatched After would. Coalesced deliveries
 // skip their sequence draw entirely; because every later draw shifts down
 // uniformly, all relative (at, seq) comparisons — the only thing the
-// scheduler ever consults — are unchanged, and seeded runs produce the same
+// scheduler ever consults — stay the same, and seeded runs produce the same
 // execution order (and digest) with batching on or off. Only the raw executed
 // event count differs.
 type Batcher struct {
@@ -81,7 +81,7 @@ func (b *Batcher) push(delay Time, e batchEntry) bool {
 	q := b.take()
 	q.at = at
 	q.fns = append(q.fns, e)
-	b.env.schedule(delay, nil, q.drainFn)
+	b.env.After(delay, q.drainFn)
 	q.seq = b.env.seq
 	b.cur = q
 	return false

@@ -12,15 +12,12 @@ package sim
 // counter drawn at schedule time, so events at the same virtual instant run
 // in FIFO schedule order.
 
-// event is a single entry in the scheduler's event queue. Exactly one of
-// proc or fn is set: proc events resume a parked process, fn events run a
-// callback inline in the scheduler goroutine.
+// event is a single entry in the scheduler's event queue: a callback and
+// the (at, seq) key it runs at.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO among equal timestamps
-	proc *Proc
-	gen  uint32 // proc incarnation at schedule time (stale-wake guard)
-	fn   func()
+	at  Time
+	seq uint64 // tie-breaker: FIFO among equal timestamps
+	fn  func()
 }
 
 // before reports whether e orders strictly before o on the (at, seq) key.
@@ -61,7 +58,7 @@ func (h *eventHeap) pop() event {
 	top := h.a[0]
 	n := len(h.a) - 1
 	h.a[0] = h.a[n]
-	h.a[n] = event{} // release fn/proc references, keep capacity
+	h.a[n] = event{} // release the fn reference, keep capacity
 	h.a = h.a[:n]
 	// Sift down.
 	i := 0
@@ -118,7 +115,7 @@ func (r *eventRing) push(ev event) {
 // empty ring.
 func (r *eventRing) pop() event {
 	ev := r.buf[r.head]
-	r.buf[r.head] = event{} // release fn/proc references
+	r.buf[r.head] = event{} // release the fn reference
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return ev

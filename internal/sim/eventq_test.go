@@ -104,145 +104,6 @@ func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
-func TestSpawnAfterStartsAtScheduledInstant(t *testing.T) {
-	e := NewEnv(1)
-	var startedAt Time = -1
-	p := e.SpawnAfter(7*Microsecond, "late", func(p *Proc) { startedAt = p.Now() })
-	if p == nil || e.Live() != 1 {
-		t.Fatalf("SpawnAfter did not register the process (live=%d)", e.Live())
-	}
-	e.Run()
-	if startedAt != 7*Microsecond {
-		t.Fatalf("process started at %v, want 7µs", startedAt)
-	}
-	if e.Live() != 0 {
-		t.Fatalf("live = %d after run", e.Live())
-	}
-}
-
-func TestSpawnAfterMatchesSpawnPlusSleepSchedule(t *testing.T) {
-	// The two-hop egress scheduling must draw the same event sequence
-	// numbers as Spawn + immediate Sleep, so mixed schedules interleave
-	// identically. Run the same scenario both ways and compare traces.
-	run := func(useSpawnAfter bool) []string {
-		e := NewEnv(1)
-		var trace []string
-		e.Spawn("main", func(p *Proc) {
-			body := func(sub *Proc) {
-				trace = append(trace, "courier@"+sub.Now().String())
-			}
-			if useSpawnAfter {
-				e.SpawnAfter(10, "courier", body)
-			} else {
-				e.Spawn("courier", func(sub *Proc) {
-					sub.Sleep(10)
-					body(sub)
-				})
-			}
-			e.After(10, func() { trace = append(trace, "timer@"+e.Now().String()) })
-			p.Sleep(10)
-			trace = append(trace, "main@"+p.Now().String())
-		})
-		e.Run()
-		return trace
-	}
-	a, b := run(false), run(true)
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("traces diverge at %d: %v vs %v", i, a, b)
-		}
-	}
-}
-
-func TestParkResumeRoundTrip(t *testing.T) {
-	e := NewEnv(1)
-	var resumedAt Time
-	e.Spawn("caller", func(p *Proc) {
-		// Model a callback round trip: the reply computes a value and
-		// resumes the caller after a further delay.
-		e.After(5, func() { e.Resume(5, p) })
-		p.Park()
-		resumedAt = p.Now()
-	})
-	e.Run()
-	if resumedAt != 10 {
-		t.Fatalf("resumed at %v, want 10", resumedAt)
-	}
-}
-
-func TestProcPoolReusesGoroutines(t *testing.T) {
-	e := NewEnv(1)
-	p1 := e.Spawn("a", func(p *Proc) {})
-	e.Run()
-	p2 := e.Spawn("b", func(p *Proc) {})
-	if p1 != p2 {
-		t.Fatal("finished process was not recycled for the next spawn")
-	}
-	if p2.Name() != "b" {
-		t.Fatalf("recycled process kept stale name %q", p2.Name())
-	}
-	e.Run()
-	e.Shutdown()
-}
-
-func TestStaleWakeupDoesNotResumeRecycledProc(t *testing.T) {
-	e := NewEnv(1)
-	var p1 *Proc
-	resumed := 0
-	p1 = e.Spawn("a", func(p *Proc) {
-		p.Park()
-		resumed++
-	})
-	e.After(5, func() {
-		e.Resume(0, p1)  // wakes the park
-		e.Resume(10, p1) // stale: p1 is finished (and recycled) by then
-	})
-	sig := e.NewSignal()
-	spurious := false
-	e.After(6, func() {
-		// This spawn reuses p1's Proc; the stale wake-up at t=15 targets
-		// the old incarnation and must not resume it.
-		e.Spawn("b", func(p *Proc) {
-			p.Await(sig)
-			spurious = true
-		})
-	})
-	e.RunUntil(100)
-	if resumed != 1 {
-		t.Fatalf("first incarnation resumed %d times, want 1", resumed)
-	}
-	if spurious {
-		t.Fatal("stale wake-up resumed the recycled process")
-	}
-	e.Shutdown()
-}
-
-func TestShutdownUnwindsInSpawnOrder(t *testing.T) {
-	e := NewEnv(1)
-	var order []string
-	for _, name := range []string{"a", "b", "c", "d"} {
-		name := name
-		e.Spawn(name, func(p *Proc) {
-			defer func() { order = append(order, name) }()
-			p.Park() // parked forever; unwound by Shutdown
-		})
-	}
-	e.RunUntil(10)
-	e.Shutdown()
-	want := []string{"a", "b", "c", "d"}
-	if len(order) != len(want) {
-		t.Fatalf("unwound %d procs, want %d", len(order), len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("unwind order = %v, want spawn order %v", order, want)
-		}
-	}
-}
-
 func TestWaitGroupOverCompletionPanics(t *testing.T) {
 	e := NewEnv(1)
 	wg := e.NewWaitGroup(1)
@@ -302,38 +163,9 @@ func BenchmarkTimedEvents(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkProcessPingPong measures the full process resume cycle (two
-// channel hand-offs) plus queue traffic — the inherent cost of a blocking
-// simulated operation.
-func BenchmarkProcessPingPong(b *testing.B) {
-	e := NewEnv(1)
-	e.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(10)
-		}
-	})
-	e.Run()
-}
-
-// BenchmarkSpawnChurn measures process spawn/finish cost with pooling —
-// the shape of per-message courier processes in 2PC fan-outs.
-func BenchmarkSpawnChurn(b *testing.B) {
-	e := NewEnv(1)
-	done := 0
-	for i := 0; i < b.N; i++ {
-		e.Spawn("courier", func(p *Proc) { done++ })
-		e.Run()
-	}
-	if done != b.N {
-		b.Fatalf("ran %d, want %d", done, b.N)
-	}
-}
-
-// BenchmarkContinuationPingPong is the continuation counterpart of
-// BenchmarkProcessPingPong: the same rearm-every-10ns shape, expressed as
-// a callback event instead of a parked process. The gap between the two is
-// exactly the goroutine hand-off cost the coroutine-free scheduler core
-// removed from the transaction hot path.
+// BenchmarkContinuationPingPong measures one blocking simulated operation
+// in continuation form: a callback that re-arms itself every 10ns, the
+// shape of a worker waiting out a fixed latency.
 func BenchmarkContinuationPingPong(b *testing.B) {
 	e := NewEnv(1)
 	n := 0

@@ -2,93 +2,43 @@ package sim
 
 import "fmt"
 
-// signalWaiter is one subscriber to a signal: either a parked process or a
-// continuation callback. Exactly one of proc/fn is set. Keeping both kinds in
-// a single ordered list guarantees that a mixed population of process waiters
-// and callback waiters wakes in exact subscription order, so converting one
-// waiter at a time from the process API to the callback API cannot perturb a
-// seeded schedule.
-type signalWaiter struct {
-	proc *Proc
-	fn   func()
-}
-
-// Signal is a one-shot event that processes or continuations can wait on.
-// Firing a signal wakes every waiter at the current virtual time and records
-// a value that Await (or Value, for callback waiters) returns. Signals are
-// the building block for lock grants, RPC replies and 2PC votes throughout
-// the reproduction: a waiter parks on its own signal — or subscribes a
-// resumption callback — and whoever resolves the wait (lock release,
-// wound/die abort, message arrival) fires it with an outcome.
+// Signal is a one-shot event that continuations can wait on: Subscribe
+// registers a callback and Fire wakes every subscriber at the current
+// virtual time. Calvin's sequencer grants each submitted transaction its
+// turn through one, and WaitGroup counts fan-out completions on top of one.
 type Signal struct {
 	env     *Env
 	fired   bool
-	val     interface{}
-	waiters []signalWaiter
+	waiters []func()
 }
 
 // NewSignal creates an unfired signal bound to the environment.
 func (e *Env) NewSignal() *Signal { return &Signal{env: e} }
 
-// Fired reports whether the signal has been fired.
-func (s *Signal) Fired() bool { return s.fired }
-
-// Value returns the value the signal was fired with (nil if unfired).
-func (s *Signal) Value() interface{} { return s.val }
-
-// Fire marks the signal fired with val and wakes all waiters at the current
-// virtual time, in subscription order, one scheduled event per waiter.
-// Firing an already-fired signal is a no-op; the first value wins. Fire must
-// be called from simulation context.
-func (s *Signal) Fire(val interface{}) {
+// Fire marks the signal fired and wakes all subscribers at the current
+// virtual time, in subscription order, one scheduled event per subscriber.
+// Firing an already-fired signal is a no-op. Fire must be called from
+// simulation context.
+func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	s.val = val
-	for _, w := range s.waiters {
-		s.env.schedule(0, w.proc, w.fn)
+	for _, k := range s.waiters {
+		s.env.After(0, k)
 	}
 	s.waiters = nil
 }
 
-// FireAfter fires the signal with val after delay virtual nanoseconds.
-func (s *Signal) FireAfter(delay Time, val interface{}) {
-	s.env.After(delay, func() { s.Fire(val) })
-}
-
 // Subscribe registers k to run when the signal fires. If the signal has
-// already fired, k runs inline (zero scheduled events — the continuation
-// analogue of Await returning immediately); otherwise k is scheduled as its
-// own same-instant event when Fire runs, exactly where a process waiter's
-// wake-up would be. Read the outcome with Value from inside k.
+// already fired, k runs inline (zero scheduled events); otherwise k is
+// scheduled as its own same-instant event when Fire runs.
 func (s *Signal) Subscribe(k func()) {
 	if s.fired {
 		k()
 		return
 	}
-	s.waiters = append(s.waiters, signalWaiter{fn: k})
-}
-
-// Await blocks the process until the signal fires and returns the fired
-// value. If the signal already fired, Await returns immediately.
-func (p *Proc) Await(s *Signal) interface{} {
-	if s.fired {
-		return s.val
-	}
-	s.waiters = append(s.waiters, signalWaiter{proc: p})
-	p.block()
-	return s.val
-}
-
-// AwaitErr is Await for the common case of signals fired with an error (or
-// nil for success).
-func (p *Proc) AwaitErr(s *Signal) error {
-	v := p.Await(s)
-	if v == nil {
-		return nil
-	}
-	return v.(error)
+	s.waiters = append(s.waiters, k)
 }
 
 // WaitGroup counts down outstanding sub-operations (e.g. parallel RPC
@@ -102,7 +52,7 @@ type WaitGroup struct {
 func (e *Env) NewWaitGroup(n int) *WaitGroup {
 	wg := &WaitGroup{n: n, sig: e.NewSignal()}
 	if n <= 0 {
-		wg.sig.Fire(nil)
+		wg.sig.Fire()
 	}
 	return wg
 }
@@ -114,15 +64,12 @@ func (e *Env) NewWaitGroup(n int) *WaitGroup {
 func (w *WaitGroup) Done() {
 	w.n--
 	if w.n == 0 {
-		w.sig.Fire(nil)
+		w.sig.Fire()
 	} else if w.n < 0 {
 		panic(fmt.Sprintf("sim: WaitGroup.Done called %d time(s) more than the group size", -w.n))
 	}
 }
 
-// Wait blocks the process until all completions have been recorded.
-func (p *Proc) Wait(w *WaitGroup) { p.Await(w.sig) }
-
 // Subscribe runs k once all completions have been recorded (inline if they
-// already have). It is the continuation counterpart of Wait.
+// already have).
 func (w *WaitGroup) Subscribe(k func()) { w.sig.Subscribe(k) }

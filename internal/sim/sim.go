@@ -4,24 +4,18 @@
 // The simulator is the substrate on which the whole P4DB reproduction runs:
 // database worker threads, network message delays, switch pipeline latencies
 // and lock waits are all modelled as events on a single virtual timeline.
-// Everything on the hot path is a callback event: a continuation scheduled
-// with After (or woken through Signal.Subscribe) that runs inline in the
-// scheduler goroutine — blocking waits are expressed as explicit state
-// machines that re-enter themselves, so steady-state execution never parks a
-// goroutine or pays a channel round trip. The simulation is single-threaded
-// and fully deterministic for a given seed: contention, abort patterns and
-// throughput numbers are exactly reproducible across runs and machines.
+// Every piece of simulated work is a callback event: a continuation
+// scheduled with After (or woken through Signal.Subscribe) that runs inline
+// on the goroutine driving the environment. A blocking wait is an explicit
+// state machine that re-enters itself when its wake-up event runs, so the
+// simulator has exactly one thread of control. The simulation is fully
+// deterministic for a given seed: contention, abort patterns and throughput
+// numbers are exactly reproducible across runs and machines.
 //
 // The event pipeline is built for throughput: events are inline values in a
 // hand-rolled 4-ary heap (timed) and a FIFO ring (same-instant fast path),
-// same-destination deliveries coalesce into batched drain events (batch.go),
-// and callback events run without any context switch. See eventq.go for the
-// queue.
-//
-// A process API (Proc: goroutines the scheduler resumes one at a time via
-// channel handoff) remains as a compatibility shim for tests and examples;
-// see proc.go. Both APIs draw event sequence numbers identically, so a flow
-// produces bit-identical schedules whichever style it is written in.
+// and same-destination deliveries coalesce into batched drain events
+// (batch.go). See eventq.go for the queue.
 package sim
 
 import (
@@ -57,149 +51,71 @@ func (t Time) String() string {
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Env is a simulation environment: a virtual clock plus an event queue.
-// Create one with NewEnv, spawn processes with Spawn, then drive it with
-// Run or RunUntil. An Env must be used from a single OS goroutine (the
-// one calling Run); processes it spawns are coordinated internally.
+// Create one with NewEnv, schedule callbacks with After, then drive it with
+// Run or RunUntil. An Env must be used from a single goroutine: the one
+// calling Run runs every callback.
 type Env struct {
 	now      Time
 	seq      uint64
 	events   eventQueue
-	yield    chan struct{}
 	executed int64
-
-	// Live processes form a doubly-linked list in spawn order, so that
-	// iteration (Shutdown's unwind in particular) is deterministic. A map
-	// would make unwind order depend on Go's randomized map iteration.
-	procHead *Proc
-	procTail *Proc
-	live     int
-
-	// freeProcs holds finished processes whose goroutines are parked for
-	// reuse, so short-lived processes (2PC couriers, network handlers) do
-	// not pay goroutine creation per spawn.
-	freeProcs []*Proc
-
-	closed bool
-	rng    *RNG
-	fail   interface{} // panic value propagated out of a process
+	rng      *RNG
 }
 
 // NewEnv returns a fresh environment whose deterministic random stream is
 // derived from seed.
 func NewEnv(seed uint64) *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		rng:   NewRNG(seed),
-	}
+	return &Env{rng: NewRNG(seed)}
 }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
 // Rand returns the environment's deterministic random stream. It must only
-// be used from inside simulation context (a process or a scheduled
-// callback); doing so keeps draws in a deterministic order.
+// be used from inside simulation context (a scheduled callback); doing so
+// keeps draws in a deterministic order.
 func (e *Env) Rand() *RNG { return e.rng }
 
-// schedule enqueues an event delay nanoseconds from now. Zero-delay events
-// take the O(1) ring fast path; they are already globally ordered by their
-// fresh seq draw.
-func (e *Env) schedule(delay Time, p *Proc, fn func()) {
+// After runs fn on the simulation timeline delay nanoseconds from now
+// (negative delays count as zero). fn executes in scheduler context: it must
+// not block, but it may fire signals and schedule further callbacks.
+// Same-instant callbacks (delay 0) take the O(1) ring fast path — they are
+// already globally ordered by their fresh seq draw — and run in FIFO
+// schedule order without touching the timed heap.
+func (e *Env) After(delay Time, fn func()) {
+	e.seq++
 	if delay <= 0 {
-		e.seq++
-		ev := event{at: e.now, seq: e.seq, proc: p, fn: fn}
-		if p != nil {
-			ev.gen = p.gen
-		}
-		e.events.pushNow(ev)
+		e.events.pushNow(event{at: e.now, seq: e.seq, fn: fn})
 		return
 	}
-	e.seq++
-	ev := event{at: e.now + delay, seq: e.seq, proc: p, fn: fn}
-	if p != nil {
-		ev.gen = p.gen
-	}
-	e.events.pushTimed(ev)
-}
-
-// After runs fn on the simulation timeline delay nanoseconds from now.
-// fn executes in scheduler context: it must not block, but it may fire
-// signals, spawn processes and schedule further callbacks. Same-instant
-// callbacks (delay 0) run inline in FIFO schedule order without touching
-// the timed heap.
-func (e *Env) After(delay Time, fn func()) {
-	e.schedule(delay, nil, fn)
-}
-
-// Spawn starts a new process executing fn and schedules it to begin at the
-// current virtual time. The name is used in diagnostics only.
-func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := e.acquireProc(name, fn)
-	e.schedule(0, p, nil)
-	return p
-}
-
-// SpawnAfter starts a new process executing fn delay nanoseconds from now.
-// The process is registered immediately (it counts as live and holds its
-// spawn-order slot) but its goroutine is first resumed at the scheduled
-// instant, so a process that models a message in flight costs no context
-// switch until the message arrives.
-//
-// SpawnAfter deliberately schedules in two hops — an egress callback at the
-// current instant that then schedules the process start — so it draws the
-// same event sequence numbers, at the same points of the run, as the
-// process-based pattern it replaces (Spawn + immediate Sleep(delay)).
-// Seeded simulations therefore produce bit-identical schedules either way.
-func (e *Env) SpawnAfter(delay Time, name string, fn func(p *Proc)) *Proc {
-	p := e.acquireProc(name, fn)
-	e.schedule(0, nil, func() { e.schedule(delay, p, nil) })
-	return p
-}
-
-// Resume schedules the parked process p to continue delay nanoseconds from
-// now. It is the callback-side counterpart of Proc.Park: a callback event
-// computes a result and hands control back to the waiting process without
-// an intermediate signal. p must be parked (or parking) on a matching
-// Park call with no other pending wake-up.
-func (e *Env) Resume(delay Time, p *Proc) {
-	e.schedule(delay, p, nil)
+	e.events.pushTimed(event{at: e.now + delay, seq: e.seq, fn: fn})
 }
 
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed (false means the
 // event queue is empty).
 func (e *Env) Step() bool {
-	for e.events.len() > 0 {
-		ev := e.events.pop()
-		if ev.proc != nil && (ev.proc.done || ev.proc.gen != ev.gen) {
-			continue // stale wake-up for a finished (possibly recycled) process
-		}
-		e.now = ev.at
-		e.executed++
-		if ev.proc != nil {
-			ev.proc.wake <- struct{}{}
-			<-e.yield
-		} else {
-			ev.fn()
-		}
-		if e.fail != nil {
-			panic(e.fail)
-		}
-		return true
+	if e.events.len() == 0 {
+		return false
 	}
-	return false
+	ev := e.events.pop()
+	e.now = ev.at
+	e.executed++
+	ev.fn()
+	return true
 }
 
-// Run drains the event queue completely. It returns when no events remain,
-// i.e. every process is either finished or parked forever.
+// Run drains the event queue completely. It returns when no events remain:
+// every continuation chain has finished or waits on something that will
+// never fire.
 func (e *Env) Run() {
 	for e.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
-// to deadline. Processes parked past the deadline stay parked; use Shutdown
-// to unwind them.
+// to deadline. Later events stay queued; the environment can simply be
+// dropped, since nothing outside the queue holds on to them.
 func (e *Env) RunUntil(deadline Time) {
 	for {
 		at, ok := e.events.peekAt()
@@ -212,38 +128,6 @@ func (e *Env) RunUntil(deadline Time) {
 		e.now = deadline
 	}
 }
-
-// Shutdown unwinds every live process so their goroutines exit, in spawn
-// order, so any unwind side effects happen in a reproducible order. Parked
-// processes are woken and terminate by panicking with an internal sentinel
-// that the process loop recovers. Pooled (already finished) goroutines are
-// released as well. After Shutdown the environment must not be used
-// further.
-func (e *Env) Shutdown() {
-	e.closed = true
-	for e.procHead != nil {
-		p := e.procHead
-		if p.running {
-			// Cannot happen: Shutdown is called from scheduler context,
-			// so no process is mid-run.
-			panic("sim: Shutdown while a process is running")
-		}
-		p.wake <- struct{}{}
-		<-e.yield
-	}
-	for _, p := range e.freeProcs {
-		p.wake <- struct{}{}
-		<-e.yield
-	}
-	e.freeProcs = nil
-	if e.fail != nil {
-		panic(e.fail)
-	}
-}
-
-// Live returns the number of processes that have been spawned and not yet
-// finished (running or parked).
-func (e *Env) Live() int { return e.live }
 
 // Pending returns the number of queued events.
 func (e *Env) Pending() int { return e.events.len() }

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"runtime"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -14,13 +12,12 @@ func TestClockStartsAtZero(t *testing.T) {
 	}
 }
 
+// TestSleepAdvancesClock: a continuation sleeps by scheduling the rest of
+// its work with After; the clock reads the wake-up instant when it runs.
 func TestSleepAdvancesClock(t *testing.T) {
 	e := NewEnv(1)
 	var woke Time
-	e.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(5 * Microsecond)
-		woke = p.Now()
-	})
+	e.After(5*Microsecond, func() { woke = e.Now() })
 	e.Run()
 	if woke != 5*Microsecond {
 		t.Fatalf("woke at %v, want 5µs", woke)
@@ -54,31 +51,40 @@ func TestSameTimeEventsAreFIFO(t *testing.T) {
 	}
 }
 
+// TestNegativeSleepIsZero: a negative delay runs at the current instant,
+// after the same-instant events already queued.
 func TestNegativeSleepIsZero(t *testing.T) {
 	e := NewEnv(1)
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(-5)
-		if p.Now() != 0 {
-			t.Errorf("clock moved backwards: %v", p.Now())
+	var order []int
+	e.After(0, func() { order = append(order, 1) })
+	e.After(-5, func() {
+		order = append(order, 2)
+		if e.Now() != 0 {
+			t.Errorf("clock moved backwards: %v", e.Now())
 		}
 	})
 	e.Run()
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("order = %v, want [1 2]", order)
+	}
 }
 
+// TestTwoProcessesInterleave: two continuation chains started at the same
+// instant interleave on the virtual clock in time order, ties in start
+// order.
 func TestTwoProcessesInterleave(t *testing.T) {
 	e := NewEnv(1)
 	var trace []string
-	e.Spawn("a", func(p *Proc) {
+	e.After(0, func() {
 		trace = append(trace, "a0")
-		p.Sleep(10)
-		trace = append(trace, "a10")
-		p.Sleep(20)
-		trace = append(trace, "a30")
+		e.After(10, func() {
+			trace = append(trace, "a10")
+			e.After(20, func() { trace = append(trace, "a30") })
+		})
 	})
-	e.Spawn("b", func(p *Proc) {
+	e.After(0, func() {
 		trace = append(trace, "b0")
-		p.Sleep(15)
-		trace = append(trace, "b15")
+		e.After(15, func() { trace = append(trace, "b15") })
 	})
 	e.Run()
 	want := []string{"a0", "b0", "a10", "b15", "a30"}
@@ -92,67 +98,78 @@ func TestTwoProcessesInterleave(t *testing.T) {
 	}
 }
 
+// TestSignalWakesAllWaiters: Fire wakes every subscriber at the fire
+// instant, in subscription order, each as its own scheduled event.
 func TestSignalWakesAllWaiters(t *testing.T) {
 	e := NewEnv(1)
 	s := e.NewSignal()
-	woken := 0
+	var order []int
 	for i := 0; i < 5; i++ {
-		e.Spawn("w", func(p *Proc) {
-			if v := p.Await(s); v != "go" {
-				t.Errorf("Await = %v, want go", v)
+		i := i
+		s.Subscribe(func() {
+			if e.Now() != 100 {
+				t.Errorf("waiter %d woke at %v, want 100", i, e.Now())
 			}
-			woken++
+			order = append(order, i)
 		})
 	}
-	e.Spawn("firer", func(p *Proc) {
-		p.Sleep(100)
-		s.Fire("go")
+	e.After(100, func() {
+		s.Fire()
+		if len(order) != 0 {
+			t.Error("Fire ran a subscriber inline")
+		}
 	})
 	e.Run()
-	if woken != 5 {
-		t.Fatalf("woken = %d, want 5", woken)
+	if len(order) != 5 {
+		t.Fatalf("woken = %d, want 5", len(order))
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("wake order = %v, want subscription order", order)
+		}
+	}
+	if e.Events() != 6 {
+		t.Fatalf("ran %d events, want 6 (the firer plus one per subscriber)", e.Events())
 	}
 }
 
+// TestAwaitFiredSignalReturnsImmediately: subscribing to a signal that
+// already fired runs the continuation inline, at the subscribe instant,
+// without scheduling an event.
 func TestAwaitFiredSignalReturnsImmediately(t *testing.T) {
 	e := NewEnv(1)
 	s := e.NewSignal()
-	s.Fire(42)
-	var got interface{}
-	var at Time
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(9)
-		got = p.Await(s)
-		at = p.Now()
+	s.Fire()
+	var at Time = -1
+	e.After(9, func() {
+		s.Subscribe(func() { at = e.Now() })
+		if at != 9 {
+			t.Errorf("Subscribe after Fire did not run inline (at = %v)", at)
+		}
 	})
 	e.Run()
-	if got != 42 || at != 9 {
-		t.Fatalf("got %v at %v, want 42 at 9", got, at)
+	if at != 9 || e.Events() != 1 {
+		t.Fatalf("ran at %v after %d events, want 9 after 1", at, e.Events())
 	}
 }
 
+// TestSignalSecondFireIgnored: a second Fire neither re-runs subscribers
+// nor wakes ones that subscribed after the first.
 func TestSignalSecondFireIgnored(t *testing.T) {
 	e := NewEnv(1)
 	s := e.NewSignal()
-	s.Fire(1)
-	s.Fire(2)
-	if s.Value() != 1 {
-		t.Fatalf("Value = %v, want first fire to win", s.Value())
-	}
-}
-
-func TestFireAfter(t *testing.T) {
-	e := NewEnv(1)
-	s := e.NewSignal()
-	var at Time
-	e.Spawn("p", func(p *Proc) {
-		p.Await(s)
-		at = p.Now()
-	})
-	s.FireAfter(33, nil)
+	runs := 0
+	s.Subscribe(func() { runs++ })
+	s.Fire()
+	s.Fire()
 	e.Run()
-	if at != 33 {
-		t.Fatalf("woke at %v, want 33", at)
+	if runs != 1 {
+		t.Fatalf("subscriber ran %d times, want 1", runs)
+	}
+	e.After(5, s.Fire)
+	e.Run()
+	if runs != 1 || e.Events() != 2 {
+		t.Fatalf("second Fire woke subscribers again (runs %d, events %d)", runs, e.Events())
 	}
 }
 
@@ -160,10 +177,7 @@ func TestWaitGroup(t *testing.T) {
 	e := NewEnv(1)
 	wg := e.NewWaitGroup(3)
 	var doneAt Time
-	e.Spawn("waiter", func(p *Proc) {
-		p.Wait(wg)
-		doneAt = p.Now()
-	})
+	wg.Subscribe(func() { doneAt = e.Now() })
 	for i := 1; i <= 3; i++ {
 		d := Time(i * 10)
 		e.After(d, wg.Done)
@@ -178,11 +192,7 @@ func TestWaitGroupZero(t *testing.T) {
 	e := NewEnv(1)
 	wg := e.NewWaitGroup(0)
 	ran := false
-	e.Spawn("waiter", func(p *Proc) {
-		p.Wait(wg)
-		ran = true
-	})
-	e.Run()
+	wg.Subscribe(func() { ran = true })
 	if !ran {
 		t.Fatal("waiter never resumed on zero-count group")
 	}
@@ -191,12 +201,12 @@ func TestWaitGroupZero(t *testing.T) {
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	e := NewEnv(1)
 	count := 0
-	e.Spawn("ticker", func(p *Proc) {
-		for {
-			p.Sleep(10)
-			count++
-		}
-	})
+	var tick func()
+	tick = func() {
+		count++
+		e.After(10, tick)
+	}
+	e.After(10, tick)
 	e.RunUntil(95)
 	if count != 9 {
 		t.Fatalf("count = %d, want 9 ticks by t=95", count)
@@ -204,38 +214,9 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	if e.Now() != 95 {
 		t.Fatalf("Now = %v, want 95", e.Now())
 	}
-	e.Shutdown()
-}
-
-func TestShutdownUnwindsGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for iter := 0; iter < 50; iter++ {
-		e := NewEnv(uint64(iter))
-		for i := 0; i < 20; i++ {
-			e.Spawn("w", func(p *Proc) {
-				for {
-					p.Sleep(100)
-				}
-			})
-		}
-		sig := e.NewSignal()
-		e.Spawn("blocked-forever", func(p *Proc) { p.Await(sig) })
-		e.RunUntil(10_000)
-		e.Shutdown()
-		if e.Live() != 0 {
-			t.Fatalf("Live = %d after Shutdown", e.Live())
-		}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want the t=100 tick still queued", e.Pending())
 	}
-	// Give the runtime a moment to reap exited goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
@@ -243,12 +224,17 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		e := NewEnv(seed)
 		var trace []int64
 		for i := 0; i < 8; i++ {
-			e.Spawn("w", func(p *Proc) {
-				for k := 0; k < 50; k++ {
-					p.Sleep(Time(p.Rand().Intn(100) + 1))
-					trace = append(trace, int64(p.Now()))
+			k := 0
+			var step func()
+			step = func() {
+				if k > 0 {
+					trace = append(trace, int64(e.Now()))
 				}
-			})
+				if k++; k <= 50 {
+					e.After(Time(e.Rand().Intn(100)+1), step)
+				}
+			}
+			e.After(0, step)
 		}
 		e.Run()
 		return trace
@@ -275,20 +261,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced identical traces (suspicious)")
 	}
-}
-
-func TestPanicInProcessPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic in process did not propagate to Run")
-		}
-	}()
-	e := NewEnv(1)
-	e.Spawn("bad", func(p *Proc) {
-		p.Sleep(5)
-		panic("boom")
-	})
-	e.Run()
 }
 
 func TestTimeString(t *testing.T) {

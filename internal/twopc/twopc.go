@@ -286,11 +286,9 @@ const (
 
 // round is one in-flight voting and/or decision round, pooled on the
 // coordinator with its steps cached as method values: driving a commit
-// allocates nothing once the free lists are warm. A round fans out like
-// the process coordinator it replaced did — one participant is a plain
-// round trip, several go out as parallel async round trips whose last
-// reply schedules the one same-instant event a fired wait-group signal
-// used to — so seeded schedules are unchanged.
+// allocates nothing once the free lists are warm. One participant is a
+// plain round trip; several go out as parallel async round trips whose
+// last reply schedules one same-instant event to continue the round.
 type round struct {
 	c         *Coordinator
 	kind      roundKind

@@ -35,19 +35,39 @@ func addInstr(idx uint32, delta int64) txnwire.Instr {
 func runSwitchTxns(t *testing.T, sw *pisa.Switch, env *sim.Env, l *Log, pkts []*txnwire.Packet) []*SwitchRecord {
 	t.Helper()
 	recs := make([]*SwitchRecord, len(pkts))
-	env.Spawn("node", func(p *sim.Proc) {
-		for i, pkt := range pkts {
-			recs[i] = l.AppendSwitchIntent(pkt.Header.TxnID, pkt.Instrs)
-			resp, err := sw.Exec(p, pkt)
+	i := 0
+	var next func()
+	next = func() {
+		if i == len(pkts) {
+			return
+		}
+		pkt := pkts[i]
+		recs[i] = l.AppendSwitchIntent(pkt.Header.TxnID, pkt.Instrs)
+		sw.ExecK(pkt, func(resp *txnwire.Response, err error) {
 			if err != nil {
-				t.Errorf("Exec: %v", err)
+				t.Errorf("ExecK: %v", err)
 				return
 			}
 			recs[i].Complete(resp)
+			i++
+			next()
+		})
+	}
+	next()
+	env.Run()
+	return recs
+}
+
+// execNoComplete runs one logged packet whose response the node never
+// records (it is lost in flight).
+func execNoComplete(t *testing.T, sw *pisa.Switch, env *sim.Env, pkt *txnwire.Packet) {
+	t.Helper()
+	sw.ExecK(pkt, func(_ *txnwire.Response, err error) {
+		if err != nil {
+			t.Errorf("%v", err)
 		}
 	})
 	env.Run()
-	return recs
 }
 
 func TestRecoverySimpleReplay(t *testing.T) {
@@ -93,14 +113,9 @@ func TestRecoveryFigure9(t *testing.T) {
 
 	// T1 executes x+=2 on the switch; Node1 logs the intent but crashes
 	// before the response arrives (no Complete call).
-	env.Spawn("node1", func(p *sim.Proc) {
-		pkt := &txnwire.Packet{Header: txnwire.Header{TxnID: 1}, Instrs: []txnwire.Instr{addInstr(0, 2)}}
-		log1.AppendSwitchIntent(1, pkt.Instrs)
-		if _, err := sw.Exec(p, pkt); err != nil {
-			t.Errorf("%v", err)
-		}
-	})
-	env.Run()
+	pkt := &txnwire.Packet{Header: txnwire.Header{TxnID: 1}, Instrs: []txnwire.Instr{addInstr(0, 2)}}
+	log1.AppendSwitchIntent(1, pkt.Instrs)
+	execNoComplete(t, sw, env, pkt)
 
 	// T2 executes x+=3 and receives its result (x=6, GID=1).
 	runSwitchTxns(t, sw, env, log2, []*txnwire.Packet{
@@ -135,27 +150,17 @@ func TestRecoveryDependencyOrdersInFlight(t *testing.T) {
 	logA, logB := NewLog(0), NewLog(1)
 
 	// GID 0: in-flight write x=5 (logged, no result).
-	env.Spawn("a", func(p *sim.Proc) {
-		pkt := &txnwire.Packet{Instrs: []txnwire.Instr{{Op: txnwire.OpWrite, Index: 0, Operand: 5}}}
-		logA.AppendSwitchIntent(10, pkt.Instrs)
-		if _, err := sw.Exec(p, pkt); err != nil {
-			t.Errorf("%v", err)
-		}
-	})
-	env.Run()
+	pkt := &txnwire.Packet{Instrs: []txnwire.Instr{{Op: txnwire.OpWrite, Index: 0, Operand: 5}}}
+	logA.AppendSwitchIntent(10, pkt.Instrs)
+	execNoComplete(t, sw, env, pkt)
 	// GID 1: completed add observing x=5 -> 12.
 	runSwitchTxns(t, sw, env, logB, []*txnwire.Packet{
 		{Instrs: []txnwire.Instr{addInstr(0, 7)}},
 	})
 	// GID 2: in-flight write x=100 from log A (after B's add).
-	env.Spawn("a2", func(p *sim.Proc) {
-		pkt := &txnwire.Packet{Instrs: []txnwire.Instr{{Op: txnwire.OpWrite, Index: 0, Operand: 100}}}
-		logA.AppendSwitchIntent(11, pkt.Instrs)
-		if _, err := sw.Exec(p, pkt); err != nil {
-			t.Errorf("%v", err)
-		}
-	})
-	env.Run()
+	pkt = &txnwire.Packet{Instrs: []txnwire.Instr{{Op: txnwire.OpWrite, Index: 0, Operand: 100}}}
+	logA.AppendSwitchIntent(11, pkt.Instrs)
+	execNoComplete(t, sw, env, pkt)
 
 	want := sw.Snapshot()
 	sw.Reset()
@@ -231,27 +236,35 @@ func TestRecoveryRandomizedCrashPoints(t *testing.T) {
 		logs := []*Log{NewLog(0), NewLog(1), NewLog(2)}
 		var recs []*SwitchRecord
 		var resps []*txnwire.Response
-		env.Spawn("driver", func(p *sim.Proc) {
-			for i := 0; i < 12; i++ {
-				nops := rng.Intn(2) + 1
-				instrs := make([]txnwire.Instr, nops)
-				for j := range instrs {
-					instrs[j] = txnwire.Instr{
-						Op: txnwire.OpAdd, Stage: uint8(j), Array: 0,
-						Index: uint32(rng.Intn(4)), Operand: int64(rng.Intn(20) - 5),
-					}
+		var next func()
+		next = func() {
+			i := len(recs)
+			if i == 12 {
+				return
+			}
+			nops := rng.Intn(2) + 1
+			instrs := make([]txnwire.Instr, nops)
+			for j := range instrs {
+				instrs[j] = txnwire.Instr{
+					Op: txnwire.OpAdd, Stage: uint8(j), Array: 0,
+					Index: uint32(rng.Intn(4)), Operand: int64(rng.Intn(20) - 5),
 				}
-				l := logs[rng.Intn(len(logs))]
-				rec := l.AppendSwitchIntent(uint64(i), instrs)
-				resp, err := sw.Exec(p, &txnwire.Packet{Instrs: instrs})
+			}
+			l := logs[rng.Intn(len(logs))]
+			rec := l.AppendSwitchIntent(uint64(i), instrs)
+			sw.ExecK(&txnwire.Packet{Instrs: instrs}, func(resp *txnwire.Response, err error) {
 				if err != nil {
 					t.Errorf("%v", err)
 					return
 				}
+				c := *resp // the switch's frame owns resp
+				c.Results = append([]txnwire.Result(nil), resp.Results...)
 				recs = append(recs, rec)
-				resps = append(resps, resp)
-			}
-		})
+				resps = append(resps, &c)
+				next()
+			})
+		}
+		next()
 		env.Run()
 
 		// Lose up to 3 responses (in-flight at crash).
