@@ -212,8 +212,8 @@ func (c *Cluster) crashSwitch(st *RecoveryStats) {
 	nextGID := sw.NextGID()
 
 	var parts []*wal.SwitchRecord
-	for _, n := range c.ctx.Nodes {
-		for _, rec := range n.Log().SwitchRecords() {
+	for _, l := range c.logImages() {
+		for _, rec := range l.SwitchRecords() {
 			st.LogRecords++
 			switch {
 			case rec.HasGID:
@@ -221,12 +221,11 @@ func (c *Cluster) crashSwitch(st *RecoveryStats) {
 			default:
 				if gid, ok := sw.AdmittedGID(rec.TxnID); ok {
 					// Executed, response lost in the crash: gap-fit at
-					// the admitted GID. The record copy leaves the live
-					// log untouched — the in-flight response will
-					// back-fill the original when it arrives.
-					cp := *rec
-					cp.GID, cp.HasGID = gid, true
-					parts = append(parts, &cp)
+					// the admitted GID. The record is a decoded copy, so
+					// the live log is untouched — the in-flight response
+					// will back-fill it when it arrives.
+					rec.GID, rec.HasGID = gid, true
+					parts = append(parts, rec)
 					st.ResponsesLost++
 				} else {
 					st.InFabric++
@@ -264,59 +263,30 @@ func (c *Cluster) crashSwitch(st *RecoveryStats) {
 	}
 }
 
-// crashNode rebuilds node id's partition from scratch: the committed cold
-// records of ALL node logs (coordinators log the redo for their remote
-// writes) are merged in LSN order, filtered to writes homed on the
-// crashed partition, and applied to the load-time baseline image. The
-// rebuilt partition must match the live one row for row; the only rows
-// allowed to differ are those exclusively locked at the crash instant —
-// in-flight (or in-doubt) transactions whose effects presumed-abort 2PC
-// discards. The live store is left untouched, so the run continues as if
-// a hot standby took over with zero loss.
-func (c *Cluster) crashNode(id int, st *RecoveryStats) {
-	type entry struct {
-		rec      *wal.ColdRecord
-		src, idx int
+// logImages decodes every node's log from the bytes Marshal writes, the
+// way a restarted node reads its log back: recovery sees only what reached
+// the log. A live log ends on a frame boundary, so no image is torn.
+func (c *Cluster) logImages() []*wal.Log {
+	out := make([]*wal.Log, len(c.ctx.Nodes))
+	for i, n := range c.ctx.Nodes {
+		l, _, err := wal.UnmarshalLog(int(n.ID()), n.Log().Marshal())
+		if err != nil {
+			panic(fmt.Sprintf("core: node %d log image: %v", i, err))
+		}
+		out[i] = l
 	}
-	var entries []entry
-	for _, n := range c.ctx.Nodes {
-		for idx, rec := range n.Log().ColdRecords() {
-			st.LogRecords++
-			if rec.Committed {
-				entries = append(entries, entry{rec, int(n.ID()), idx})
-			}
-		}
-	}
-	// Conflicting writers append strictly in serialization order (the
-	// second acquires the row lock only after the first's post-append
-	// release), so the LSN merge reproduces every row's commit order;
-	// (src, idx) only breaks ties between non-conflicting records.
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.rec.LSN != b.rec.LSN {
-			return a.rec.LSN < b.rec.LSN
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.idx < b.idx
-	})
+	return out
+}
 
-	target := netsim.NodeID(id)
-	for _, e := range entries {
-		hit := false
-		for _, w := range e.rec.Writes {
-			if c.gen.Home(w.Table, w.Key) != target {
-				continue // write belongs to another partition
-			}
-			c.redoBase.Table(w.Table).Set(w.Key, w.Field, w.Value)
-			st.WritesRedone++
-			hit = true
-		}
-		if hit {
-			st.ColdRedone++
-		}
-	}
+// crashNode rebuilds node id's partition from scratch: redoCold replays
+// every node's log image onto the load-time baseline image. The rebuilt
+// partition must match the live one row for row; the only rows allowed to
+// differ are those exclusively locked at the crash instant — in-flight (or
+// in-doubt) transactions whose effects presumed-abort 2PC discards. The
+// live store is left untouched, so the run continues as if a hot standby
+// took over with zero loss.
+func (c *Cluster) crashNode(id int, st *RecoveryStats) {
+	c.redoCold(c.logImages(), netsim.NodeID(id), c.redoBase, st)
 	st.RecoveryTime = c.ctx.Costs.LogAppend * sim.Time(st.LogRecords+st.WritesRedone)
 
 	live := c.ctx.Nodes[id].Store()
@@ -344,5 +314,53 @@ func (c *Cluster) crashNode(id int, st *RecoveryStats) {
 		lt.Walk(check)
 		rt.Walk(check)
 		st.InDoubt += len(inDoubt)
+	}
+}
+
+// redoCold applies to base, a load-time image of partition target, the
+// committed cold records of logs (coordinators log the redo for their
+// remote writes) merged in LSN order, keeping the writes homed on target.
+// It counts the records scanned and the records and writes redone into st.
+func (c *Cluster) redoCold(logs []*wal.Log, target netsim.NodeID, base *store.Store, st *RecoveryStats) {
+	type entry struct {
+		rec      *wal.ColdRecord
+		src, idx int
+	}
+	var entries []entry
+	for src, l := range logs {
+		for idx, rec := range l.ColdRecords() {
+			st.LogRecords++
+			if rec.Committed {
+				entries = append(entries, entry{rec, src, idx})
+			}
+		}
+	}
+	// Conflicting writers append strictly in serialization order (the
+	// second acquires the row lock only after the first's post-append
+	// release), so the LSN merge reproduces every row's commit order;
+	// (src, idx) only breaks ties between non-conflicting records.
+	sort.Slice(entries, func(i, j int) bool {
+		a, b := entries[i], entries[j]
+		if a.rec.LSN != b.rec.LSN {
+			return a.rec.LSN < b.rec.LSN
+		}
+		if a.src != b.src {
+			return a.src < b.src
+		}
+		return a.idx < b.idx
+	})
+	for _, e := range entries {
+		hit := false
+		for _, w := range e.rec.Writes {
+			if c.gen.Home(w.Table, w.Key) != target {
+				continue // write belongs to another partition
+			}
+			base.Table(w.Table).Set(w.Key, w.Field, w.Value)
+			st.WritesRedone++
+			hit = true
+		}
+		if hit {
+			st.ColdRedone++
+		}
 	}
 }

@@ -72,4 +72,27 @@ func TestHeapBudget(t *testing.T) {
 			}
 		})
 	}
+	// A durable run keeps every record it logs: the growth of the live heap
+	// across Run is mostly the logs, at the benchmark's sim_tpcc_durable
+	// size (8 nodes, seed 42, 1 ms warm-up + 3 ms window). Logs held as
+	// their framed bytes measure 8.4 MB here; as record structs carved
+	// from slabs they measured 14.35 MB.
+	t.Run("p4db/tpcc-durable", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Engine, cfg.Durable, cfg.Nodes, cfg.Seed = "p4db", true, 8, 42
+		gen, err := workload.ByName("tpcc", cfg.Nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCluster(cfg, gen)
+		before := liveHeap()
+		c.Run(sim.Millisecond, 3*sim.Millisecond)
+		grown := int64(liveHeap()) - int64(before)
+		runtime.KeepAlive(c)
+		t.Logf("Run grew the live heap by %.2f MB", float64(grown)/(1<<20))
+		const runBudget = 10 << 20
+		if grown > runBudget {
+			t.Errorf("a durable TPC-C run grew the live heap by %.2f MB, budget %d MB", float64(grown)/(1<<20), runBudget>>20)
+		}
+	})
 }

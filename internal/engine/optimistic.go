@@ -320,8 +320,8 @@ func (c *Context) execOptimisticWarmK(n *Node, txn *workload.Txn, newAt func() v
 							if xerr != nil {
 								panic(fmt.Sprintf("engine: switch rejected warm optimistic packet: %v", xerr))
 							}
-							if st.rec != nil {
-								st.rec.Complete(resp)
+							if c.Durable {
+								n.log.Complete(st.rec, resp)
 							}
 							done()
 						})

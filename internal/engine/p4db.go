@@ -186,8 +186,8 @@ func (f *warmFrame) onResp(resp *txnwire.Response, xerr error) {
 	}
 	// The multicast carries the results to the coordinator together with
 	// the decision, so the record is back-filled here.
-	if f.sw.rec != nil {
-		f.sw.rec.Complete(resp)
+	if f.c.Durable {
+		f.n.log.Complete(f.sw.rec, resp)
 	}
 	f.sdone()
 }

@@ -23,7 +23,7 @@ type switchTxn struct {
 	wire   []byte
 	pkt    txnwire.Packet // decoded from wire
 	passes int
-	rec    *wal.SwitchRecord // nil unless Durable
+	rec    wal.Intent // the logged intent, when Durable
 }
 
 // reset starts a new (sub-)transaction; add appends its next operation.
@@ -83,7 +83,6 @@ func (s *switchTxn) intent(c *Context, n *Node) {
 	if _, err := txnwire.DecodePacketInto(&s.pkt, s.wire); err != nil {
 		panic(fmt.Sprintf("engine: packet decode: %v", err))
 	}
-	s.rec = nil
 	if c.Durable {
 		s.rec = n.log.AppendSwitchIntent(s.pkt.Header.TxnID, s.pkt.Instrs)
 	}
@@ -200,7 +199,7 @@ func (f *hotFrame) onResp(resp *txnwire.Response, xerr error) {
 	// resp is the switch's until this returns, but the record is only
 	// back-filled once the reply has landed (a crash in between leaves the
 	// GID-less record of Figure 9): keep what the back-fill needs.
-	if f.sw.rec != nil {
+	if f.c.Durable {
 		f.resp.GID = resp.GID
 		f.resp.Results = append(f.resp.Results[:0], resp.Results...)
 	}
@@ -208,8 +207,8 @@ func (f *hotFrame) onResp(resp *txnwire.Response, xerr error) {
 }
 
 func (f *hotFrame) switchDone() {
-	if f.sw.rec != nil {
-		f.sw.rec.Complete(&f.resp)
+	if f.c.Durable {
+		f.n.log.Complete(f.sw.rec, &f.resp)
 	}
 	f.c.charge(f.n, metrics.SwitchTxn, f.t1)
 	f.sw.countPasses(f.c, f.n)

@@ -198,22 +198,6 @@ func (fw *FrameWriter) finish(start int, err error) error {
 	return nil
 }
 
-// WritePacket frames a switch-transaction packet.
-func (fw *FrameWriter) WritePacket(p *Packet) error {
-	start := fw.begin(FramePacket)
-	var err error
-	fw.buf, err = AppendPacket(fw.buf, p)
-	return fw.finish(start, err)
-}
-
-// WriteResponse frames a switch response.
-func (fw *FrameWriter) WriteResponse(r *Response) error {
-	start := fw.begin(FrameResponse)
-	var err error
-	fw.buf, err = AppendResponse(fw.buf, r)
-	return fw.finish(start, err)
-}
-
 // WriteTxnRequest frames a workload-transaction request envelope.
 func (fw *FrameWriter) WriteTxnRequest(q *TxnRequest) error {
 	start := fw.begin(FrameTxnReq)

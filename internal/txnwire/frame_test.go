@@ -101,13 +101,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := fw.WriteTxnRequest(q); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.WritePacket(p); err != nil {
+	if err := writePacket(fw, p); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.WriteTxnReply(rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.WriteResponse(&rep.Resp); err != nil {
+	if err := writeResponse(fw, &rep.Resp); err != nil {
 		t.Fatal(err)
 	}
 	if net.Len() != 0 {
@@ -422,4 +422,20 @@ func TestSteadyStateCodecZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, decodePair); n != 0 {
 		t.Fatalf("framed decode allocates %v times per round, want 0", n)
 	}
+}
+
+// writePacket frames a switch-transaction packet.
+func writePacket(fw *FrameWriter, p *Packet) error {
+	start := fw.begin(FramePacket)
+	var err error
+	fw.buf, err = AppendPacket(fw.buf, p)
+	return fw.finish(start, err)
+}
+
+// writeResponse frames a switch response.
+func writeResponse(fw *FrameWriter, r *Response) error {
+	start := fw.begin(FrameResponse)
+	var err error
+	fw.buf, err = AppendResponse(fw.buf, r)
+	return fw.finish(start, err)
 }

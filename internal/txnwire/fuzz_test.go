@@ -21,7 +21,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := EncodeResponse(&Response{TxnID: 9, GID: 3, Recircs: 1,
+	resp, err := encodeResponse(&Response{TxnID: 9, GID: 3, Recircs: 1,
 		Results: []Result{{Value: -7, OK: true}}})
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +57,8 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("re-decode mismatch (err %v)", err)
 			}
 		}
-		if r, err := DecodeResponse(data); err == nil {
-			if _, err := EncodeResponse(r); err != nil {
+		if r, err := decodeResponse(data); err == nil {
+			if _, err := encodeResponse(r); err != nil {
 				t.Fatalf("re-encode of accepted response failed: %v", err)
 			}
 		}

@@ -171,21 +171,3 @@ func Decode(buf []byte) (*Packet, error) {
 	}
 	return p, nil
 }
-
-// EncodeResponse serializes a response packet into a fresh buffer.
-func EncodeResponse(r *Response) ([]byte, error) {
-	buf, err := AppendResponse(make([]byte, 0, respHdrSize+resultSize*len(r.Results)), r)
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// DecodeResponse parses a response packet. Trailing bytes are ignored.
-func DecodeResponse(buf []byte) (*Response, error) {
-	r := new(Response)
-	if _, err := DecodeResponseInto(r, buf); err != nil {
-		return nil, err
-	}
-	return r, nil
-}

@@ -55,11 +55,11 @@ func TestResponseRoundTrip(t *testing.T) {
 		Recircs: 7,
 		Results: []Result{{Value: -1, OK: true}, {Value: math.MinInt64, OK: false}},
 	}
-	buf, err := EncodeResponse(r)
+	buf, err := encodeResponse(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := DecodeResponse(buf)
+	q, err := decodeResponse(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,4 +157,18 @@ func TestInstrString(t *testing.T) {
 	if got := in.String(); got != "ADD s2/a1[9] -3" {
 		t.Fatalf("String = %q", got)
 	}
+}
+
+// encodeResponse serializes a response packet into a fresh buffer.
+func encodeResponse(r *Response) ([]byte, error) {
+	return AppendResponse(make([]byte, 0, respHdrSize+resultSize*len(r.Results)), r)
+}
+
+// decodeResponse parses a response packet. Trailing bytes are ignored.
+func decodeResponse(buf []byte) (*Response, error) {
+	r := new(Response)
+	if _, err := DecodeResponseInto(r, buf); err != nil {
+		return nil, err
+	}
+	return r, nil
 }

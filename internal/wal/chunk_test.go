@@ -5,16 +5,16 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/store"
 	"repro/internal/txnwire"
 )
 
 // TestRecordsStayPutAcrossChunkGrowth appends 10k intents of one to four
-// instructions — twenty record chunks, several instruction and result
-// chunks — completing every third one late, after 64 more appends, the way
-// a response lands while the node keeps logging. Every pointer handed out
-// must still be the log's record, with its instructions and results
-// intact, when the last one is in; the very first record is completed
-// last of all.
+// instructions — some thirty chunks — completing every third one late,
+// after 64 more appends, the way a response lands while the node keeps
+// logging. Every handle must still locate its own frame when the last
+// record is in: each completion lands in its record, with its
+// instructions intact; the very first record is completed last of all.
 func TestRecordsStayPutAcrossChunkGrowth(t *testing.T) {
 	const n = 10000
 	l := NewLog(0)
@@ -34,30 +34,30 @@ func TestRecordsStayPutAcrossChunkGrowth(t *testing.T) {
 	}
 	completed := func(i int) bool { return i%3 == 0 }
 
-	handed := make([]*SwitchRecord, n)
+	handed := make([]Intent, n)
 	for i := 0; i < n; i++ {
 		src := instrsOf(i)
 		handed[i] = l.AppendSwitchIntent(uint64(i), src)
 		src[0].Operand = -1 // the log must hold a copy
 		if late := i - 64; late > 0 && completed(late) {
-			handed[late].Complete(respOf(late))
+			l.Complete(handed[late], respOf(late))
 		}
 	}
 	for late := n - 64; late < n; late++ {
 		if late > 0 && completed(late) {
-			handed[late].Complete(respOf(late))
+			l.Complete(handed[late], respOf(late))
 		}
 	}
-	handed[0].Complete(respOf(0))
+	l.Complete(handed[0], respOf(0))
+	if len(l.switches) < 20 {
+		t.Fatalf("the records fill %d chunks; the test wants many", len(l.switches))
+	}
 
 	recs := l.SwitchRecords()
 	if len(recs) != n {
 		t.Fatalf("%d records, want %d", len(recs), n)
 	}
 	for i, rec := range recs {
-		if rec != handed[i] {
-			t.Fatalf("record %d moved: the log holds %p, the caller was handed %p", i, rec, handed[i])
-		}
 		if rec.TxnID != uint64(i) || !slices.Equal(rec.Instrs, instrsOf(i)) {
 			t.Fatalf("record %d = txn %d %v, want txn %d %v", i, rec.TxnID, rec.Instrs, i, instrsOf(i))
 		}
@@ -72,13 +72,54 @@ func TestRecordsStayPutAcrossChunkGrowth(t *testing.T) {
 		}
 	}
 
-	// What the slabs hold is what the codec writes and reads back.
+	// What the chunks hold is what the codec writes and reads back.
 	got, torn, err := UnmarshalLog(0, l.Marshal())
 	if err != nil || torn {
 		t.Fatalf("UnmarshalLog: torn=%v err=%v", torn, err)
 	}
 	if !reflect.DeepEqual(got.SwitchRecords(), recs) {
 		t.Fatal("the log does not survive a codec round trip")
+	}
+}
+
+// TestLogHoldsOnlyItsBytes is the log's memory gate: 10k durable commits —
+// an intent of one to four instructions completed 64 appends later, and a
+// cold record of one to three writes — keep no more bytes than their
+// marshalled image plus one chunk per stream. The result room of the
+// intents still in flight at the end and the tail of each stream's last
+// chunk are all that may come on top. A log of record structs and pointer
+// lists held twice its image.
+func TestLogHoldsOnlyItsBytes(t *testing.T) {
+	const n, lag = 10000, 64
+	l := NewLog(0)
+	l.SetClock(func() uint64 { return 7 })
+	instrs := make([]txnwire.Instr, 4)
+	results := make([]txnwire.Result, 4)
+	writes := make([]ColdWrite, 3)
+	handed := make([]Intent, n)
+	for i := 0; i < n; i++ {
+		for j := range instrs {
+			instrs[j] = addInstr(uint32(i+j), int64(i))
+		}
+		handed[i] = l.AppendSwitchIntent(uint64(i), instrs[:1+i%4])
+		if late := i - lag; late >= 0 {
+			l.Complete(handed[late], &txnwire.Response{GID: uint64(late), Results: results[:1+late%4]})
+		}
+		for j := range writes {
+			writes[j] = ColdWrite{Table: 1, Key: store.Key(i + j), Value: int64(i)}
+		}
+		l.AppendCold(uint64(i), writes[:1+i%3])
+	}
+	retained := 0
+	for _, s := range []stream{l.switches, l.colds} {
+		for _, c := range s {
+			retained += cap(c)
+		}
+	}
+	image := len(l.Marshal())
+	t.Logf("%d commits: %d B marshalled, %d B retained in %d + %d chunks", n, image, retained, len(l.switches), len(l.colds))
+	if budget := image + 2*chunkSize; retained > budget {
+		t.Errorf("the log retains %d B for a %d B image, budget %d B", retained, image, budget)
 	}
 }
 
@@ -112,20 +153,18 @@ func TestAppendColdCopies(t *testing.T) {
 
 // TestAppendInsideChunkZeroAlloc pins the logging calls of a durable
 // commit — intent, back-fill, cold record — at zero heap allocations while
-// they fit the current chunks. The record lists are pre-grown; a chunk
-// holds at least 512 appends and a run makes 200.
+// they fit the current chunks: a chunk holds over 300 of these commits'
+// frames and a run makes 201.
 func TestAppendInsideChunkZeroAlloc(t *testing.T) {
 	l := NewLog(0)
-	l.switchRecs = make([]*SwitchRecord, 0, 1024)
-	l.coldRecs = make([]*ColdRecord, 0, 1024)
 	instrs := []txnwire.Instr{addInstr(0, 1), addInstr(1, 2), addInstr(2, 3)}
 	resp := &txnwire.Response{GID: 1, Results: []txnwire.Result{{Value: 1, OK: true}, {Value: 2, OK: true}, {Value: 3, OK: true}}}
 	writes := []ColdWrite{{Table: 1, Key: 5, Value: 42}, {Table: 1, Key: 6, Value: 43}}
 	commit := func() {
-		l.AppendSwitchIntent(7, instrs).Complete(resp)
+		l.Complete(l.AppendSwitchIntent(7, instrs), resp)
 		l.AppendCold(7, writes)
 	}
-	commit() // opens the first chunk of every slab
+	commit() // opens the first chunk of each stream
 	if avg := testing.AllocsPerRun(200, commit); avg != 0 {
 		t.Fatalf("a durable commit's log appends allocate %.2f objects, want 0", avg)
 	}

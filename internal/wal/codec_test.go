@@ -16,7 +16,7 @@ func sampleLog() *Log {
 		addInstr(0, 2),
 		{Op: txnwire.OpCondAddGE0, Stage: 1, Array: 2, Index: 9, Operand: -5},
 	})
-	r1.Complete(&txnwire.Response{GID: 0, Results: []txnwire.Result{{Value: 2, OK: true}, {Value: 0, OK: false}}})
+	l.Complete(r1, &txnwire.Response{GID: 0, Results: []txnwire.Result{{Value: 2, OK: true}, {Value: 0, OK: false}}})
 	l.AppendSwitchIntent(8, []txnwire.Instr{addInstr(1, 3)}) // in-flight: no GID
 	l.AppendCold(9, []ColdWrite{{Table: 1, Key: 5, Field: 0, Value: 42}, {Table: 2, Key: 1, Field: 3, Value: -7}})
 	return l
@@ -52,7 +52,7 @@ func TestCodecEmptyLog(t *testing.T) {
 	// An empty log must also recover cleanly: nothing to replay.
 	baseline := pisa.New(sim.NewEnv(0), swConfig()).Snapshot()
 	sw := pisa.New(sim.NewEnv(0), swConfig())
-	n, next, rerr := RecoverSwitch([]*Log{got}, freshSwitch(baseline), sw)
+	n, next, rerr := recoverSwitch([]*Log{got}, freshSwitch(baseline), sw)
 	if rerr != nil || n != 0 || next != 0 {
 		t.Fatalf("empty-log recovery: n=%d next=%d err=%v", n, next, rerr)
 	}
@@ -66,7 +66,7 @@ func TestCodecTornFinalRecord(t *testing.T) {
 	full := l.Marshal()
 	// Find where the final frame starts by re-marshaling without it.
 	prefix := NewLog(3)
-	prefix.switchRecs = l.switchRecs
+	prefix.switches = l.switches
 	prefixLen := len(prefix.Marshal())
 	for cut := prefixLen + 1; cut < len(full); cut++ {
 		got, torn, err := UnmarshalLog(3, full[:cut])
@@ -112,7 +112,7 @@ func TestRecoveryAllResponsesLostWideWindow(t *testing.T) {
 		logs[i%2].AppendSwitchIntent(uint64(i), []txnwire.Instr{addInstr(uint32(i%2), d)})
 	}
 	sw := pisa.New(sim.NewEnv(0), swConfig())
-	n, next, err := RecoverSwitch(logs, freshSwitch(baseline), sw)
+	n, next, err := recoverSwitch(logs, freshSwitch(baseline), sw)
 	if err != nil {
 		t.Fatal(err)
 	}

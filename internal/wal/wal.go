@@ -9,6 +9,10 @@
 // with the globally-unique transaction id (GID) the switch assigned in
 // serial execution order, plus the read/write results.
 //
+// The log is its bytes; accessors decode copies. An append encodes its
+// record into the frame Marshal writes (codec.go), an intent with room for
+// the results Complete patches in; SwitchRecords and ColdRecords decode.
+//
 // If the switch crashes, its register state is reconstructed by replaying
 // all nodes' switch records in GID order. Records whose response was lost
 // (in-flight at the crash) have no GID; they are fitted into the gaps of
@@ -27,7 +31,8 @@ import (
 	"repro/internal/txnwire"
 )
 
-// SwitchRecord is one switch transaction in a node's log.
+// SwitchRecord is one switch transaction in a node's log, as decoded from
+// its frame.
 type SwitchRecord struct {
 	TxnID  uint64          // node-local transaction id
 	Instrs []txnwire.Instr // intent: logged before the packet is sent
@@ -36,11 +41,6 @@ type SwitchRecord struct {
 	// Results mirror the switch response (one per instruction); present
 	// only when HasGID.
 	Results []txnwire.Result
-
-	// room is the space reserved at intent time for the back-fill (length
-	// zero, capacity one result per instruction), so Complete allocates
-	// nothing and Results stays nil until then.
-	room []txnwire.Result
 }
 
 // ColdWrite is one redo entry of a cold sub-transaction.
@@ -64,44 +64,38 @@ type ColdRecord struct {
 	Committed bool
 }
 
-// Chunk sizes of a log's slabs: records per chunk, and instructions,
-// results or redo writes per chunk.
-const (
-	recChunk  = 512
-	elemChunk = 4096
-)
+// chunkSize is the capacity of a stream chunk; a larger frame gets a chunk
+// of its own.
+const chunkSize = 32 << 10
 
-// Log is one node's write-ahead log. Records and their instruction, result
-// and write lists are carved from chunks that are never reallocated, so a
-// record pointer stays valid — and its lists stay where they are — for as
-// long as the log lives, and appending allocates once per chunk.
-type Log struct {
-	nodeID     int
-	now        func() uint64
-	switchRecs []*SwitchRecord
-	coldRecs   []*ColdRecord
+// stream is a chunked byte log. Frames are appended into the last chunk,
+// which is never reallocated, and a frame never spans two chunks.
+type stream [][]byte
 
-	// The unused remainder of each slab's current chunk.
-	switchSlab []SwitchRecord
-	coldSlab   []ColdRecord
-	instrSlab  []txnwire.Instr
-	resultSlab []txnwire.Result
-	writeSlab  []ColdWrite
+// grow claims n zeroed bytes at the end of s and returns where they start
+// and a zero-length window onto them (capacity n) to encode into.
+func (s *stream) grow(n int) (Intent, []byte) {
+	last := len(*s) - 1
+	if last < 0 || cap((*s)[last])-len((*s)[last]) < n {
+		*s = append(*s, make([]byte, 0, max(n, chunkSize)))
+		last++
+	}
+	c := (*s)[last]
+	at := len(c)
+	(*s)[last] = c[:at+n]
+	return Intent{int32(last), int32(at)}, c[at:][:0:n]
 }
 
-// carve cuts n zeroed elements off *slab, starting a new chunk when the
-// current one has fewer left. The result's capacity is n: appending to it
-// cannot reach a neighbour.
-func carve[T any](slab *[]T, n, chunk int) []T {
-	if n == 0 {
-		return nil
-	}
-	if len(*slab) < n {
-		*slab = make([]T, max(n, chunk))
-	}
-	out := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return out
+// Intent locates a logged switch intent in its log, for Log.Complete.
+type Intent struct{ chunk, off int32 }
+
+// Log is one node's write-ahead log: the frames of its switch records and
+// of its cold records, each in a stream. Appending allocates once per chunk.
+type Log struct {
+	nodeID   int
+	now      func() uint64
+	switches stream
+	colds    stream
 }
 
 // NewLog creates an empty log for the given node.
@@ -115,46 +109,27 @@ func (l *Log) NodeID() int { return l.nodeID }
 // records are ordered only within one log.
 func (l *Log) SetClock(now func() uint64) { l.now = now }
 
-// newSwitchRecord appends a record with n zeroed instructions and room for
-// as many results.
-func (l *Log) newSwitchRecord(txnID uint64, n int) *SwitchRecord {
-	rec := &carve(&l.switchSlab, 1, recChunk)[0]
-	rec.TxnID = txnID
-	rec.Instrs = carve(&l.instrSlab, n, elemChunk)
-	rec.room = carve(&l.resultSlab, n, elemChunk)[:0]
-	l.switchRecs = append(l.switchRecs, rec)
-	return rec
+// putSwitch appends r's frame and, behind it, room for every result r
+// lacks, which Complete fills.
+func (l *Log) putSwitch(r *SwitchRecord) Intent {
+	at, buf := l.switches.grow(4 + switchPayloadLen(len(r.Instrs), len(r.Results)) + resultLen*max(len(r.Instrs)-len(r.Results), 0))
+	appendSwitchRecord(buf, r)
+	return at
 }
 
-// newColdRecord appends a record with n zeroed writes.
-func (l *Log) newColdRecord(txnID uint64, n int) *ColdRecord {
-	rec := &carve(&l.coldSlab, 1, recChunk)[0]
-	rec.TxnID = txnID
-	rec.Writes = carve(&l.writeSlab, n, elemChunk)
-	l.coldRecs = append(l.coldRecs, rec)
-	return rec
+func (l *Log) putCold(r *ColdRecord) {
+	_, buf := l.colds.grow(4 + coldPayloadLen(len(r.Writes)))
+	appendColdRecord(buf, r)
 }
 
 // AppendSwitchIntent logs the intent of a switch transaction before it is
-// sent — a copy of instrs — and returns the record so the caller can
-// back-fill the response.
-func (l *Log) AppendSwitchIntent(txnID uint64, instrs []txnwire.Instr) *SwitchRecord {
-	rec := l.newSwitchRecord(txnID, len(instrs))
-	copy(rec.Instrs, instrs)
-	return rec
+// sent — instrs are encoded, so they stay the caller's — and returns where
+// it lies, so the caller can back-fill the response with Complete.
+func (l *Log) AppendSwitchIntent(txnID uint64, instrs []txnwire.Instr) Intent {
+	return l.putSwitch(&SwitchRecord{TxnID: txnID, Instrs: instrs})
 }
 
-// Complete back-fills the switch response into the record, into the space
-// reserved with the intent.
-func (r *SwitchRecord) Complete(resp *txnwire.Response) {
-	r.HasGID = true
-	r.GID = resp.GID
-	if len(resp.Results) > 0 {
-		r.Results = append(r.room, resp.Results...)
-	}
-}
-
-// AppendCold logs a cold commit record holding a copy of writes, which
+// AppendCold logs a cold commit record of writes, which are encoded and
 // stay the caller's. Read-only commits (no writes) leave no record: there
 // is nothing to redo, and skipping them keeps the serving-mode read path
 // free of log work.
@@ -162,19 +137,34 @@ func (l *Log) AppendCold(txnID uint64, writes []ColdWrite) {
 	if len(writes) == 0 {
 		return
 	}
-	rec := l.newColdRecord(txnID, len(writes))
+	r := ColdRecord{TxnID: txnID, Writes: writes, Committed: true}
 	if l.now != nil {
-		rec.LSN = l.now()
+		r.LSN = l.now()
 	}
-	copy(rec.Writes, writes)
-	rec.Committed = true
+	l.putCold(&r)
 }
 
-// SwitchRecords returns the log's switch records in append order.
-func (l *Log) SwitchRecords() []*SwitchRecord { return l.switchRecs }
+// SwitchRecords decodes the log's switch records, in append order, into
+// copies the caller owns.
+func (l *Log) SwitchRecords() []*SwitchRecord { return decodeAll(l.switches, decodeSwitch) }
 
-// ColdRecords returns the log's cold records in append order.
-func (l *Log) ColdRecords() []*ColdRecord { return l.coldRecs }
+// ColdRecords decodes the log's cold records, in append order, into copies
+// the caller owns.
+func (l *Log) ColdRecords() []*ColdRecord { return decodeAll(l.colds, decodeCold) }
+
+// decodeAll decodes every frame of s into a fresh record. The log wrote or
+// validated each frame, so one that fails to decode is a bug.
+func decodeAll[T any](s stream, decode func([]byte, *T) error) []*T {
+	var out []*T
+	s.each(func(f []byte) {
+		r := new(T)
+		if err := decode(f[5:], r); err != nil {
+			panic(fmt.Sprintf("wal: a logged frame does not decode: %v", err))
+		}
+		out = append(out, r)
+	})
+	return out
+}
 
 // Replayer re-executes one whole switch transaction during recovery with
 // the exact data-plane semantics (including the per-packet metadata that
@@ -188,16 +178,6 @@ type Replayer interface {
 // reproduces the logged results — the logs contradict each other.
 var ErrInconsistentLogs = errors.New("wal: no consistent order for in-flight switch transactions")
 
-// OrderSwitchRecords merges the switch records of all logs into the serial
-// order the switch executed them in. See OrderRecords for the protocol.
-func OrderSwitchRecords(logs []*Log, fresh func() Replayer) ([]*SwitchRecord, error) {
-	var recs []*SwitchRecord
-	for _, l := range logs {
-		recs = append(recs, l.switchRecs...)
-	}
-	return OrderRecords(recs, fresh)
-}
-
 // OrderRecords reconstructs the serial order the switch executed recs in.
 // Records with GIDs take their logged position; GID-less (in-flight)
 // records are fitted into the remaining positions by backtracking search,
@@ -206,8 +186,8 @@ func OrderSwitchRecords(logs []*Log, fresh func() Replayer) ([]*SwitchRecord, er
 //
 // fresh must return a Replayer initialized to the switch state at the time
 // of the offload (the recovery baseline). The caller chooses which records
-// participate — whole logs (OrderSwitchRecords) or, when some in-flight
-// packets are known to have never reached the switch, a filtered subset.
+// participate — every log's SwitchRecords or, when some in-flight packets
+// are known to have never reached the switch, a filtered subset.
 func OrderRecords(recs []*SwitchRecord, fresh func() Replayer) ([]*SwitchRecord, error) {
 	var known []*SwitchRecord
 	var unknown []*SwitchRecord
@@ -288,37 +268,4 @@ func consistent(seq []*SwitchRecord, r Replayer) bool {
 		}
 	}
 	return true
-}
-
-// RecoverSwitch reconstructs the switch state after a crash: it orders all
-// logged switch transactions (see OrderSwitchRecords) and replays them on
-// target, which the caller must first restore to the offload baseline. It
-// returns the number of transactions replayed and the next GID the
-// recovered switch should assign.
-func RecoverSwitch(logs []*Log, fresh func() Replayer, target Replayer) (replayed int, nextGID uint64, err error) {
-	seq, err := OrderSwitchRecords(logs, fresh)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, rec := range seq {
-		target.ApplyTxn(rec.Instrs)
-	}
-	return len(seq), uint64(len(seq)), nil
-}
-
-// RecoverNode redoes all committed cold writes of a node's log against a
-// store, in log order. (The model logs after-images at commit, so redo is
-// idempotent and needs no undo phase.)
-func RecoverNode(l *Log, st *store.Store) int {
-	n := 0
-	for _, rec := range l.coldRecs {
-		if !rec.Committed {
-			continue
-		}
-		for _, w := range rec.Writes {
-			st.Table(w.Table).Set(w.Key, w.Field, w.Value)
-		}
-		n++
-	}
-	return n
 }

@@ -30,11 +30,53 @@ func addInstr(idx uint32, delta int64) txnwire.Instr {
 	return txnwire.Instr{Op: txnwire.OpAdd, Stage: 0, Array: 0, Index: idx, Operand: delta}
 }
 
+// switchRecords gathers the decoded switch records of every log.
+func switchRecords(logs []*Log) []*SwitchRecord {
+	var recs []*SwitchRecord
+	for _, l := range logs {
+		recs = append(recs, l.SwitchRecords()...)
+	}
+	return recs
+}
+
+// recoverSwitch is switch recovery from whole logs: it orders every
+// logged switch transaction (see OrderRecords) and replays them on target,
+// which the caller must first restore to the offload baseline. It returns
+// the number of transactions replayed and the next GID the recovered
+// switch should assign.
+func recoverSwitch(logs []*Log, fresh func() Replayer, target Replayer) (replayed int, nextGID uint64, err error) {
+	seq, err := OrderRecords(switchRecords(logs), fresh)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, rec := range seq {
+		target.ApplyTxn(rec.Instrs)
+	}
+	return len(seq), uint64(len(seq)), nil
+}
+
+// redoNode redoes all committed cold writes of a node's log against a
+// store, in log order, and returns the number of records redone. (The
+// model logs after-images at commit, so redo is idempotent and needs no
+// undo phase.)
+func redoNode(l *Log, st *store.Store) int {
+	n := 0
+	for _, rec := range l.ColdRecords() {
+		if !rec.Committed {
+			continue
+		}
+		for _, w := range rec.Writes {
+			st.Table(w.Table).Set(w.Key, w.Field, w.Value)
+		}
+		n++
+	}
+	return n
+}
+
 // runSwitchTxns executes packets against a live switch, logging intents
-// before send and completing records from responses, like a node would.
-func runSwitchTxns(t *testing.T, sw *pisa.Switch, env *sim.Env, l *Log, pkts []*txnwire.Packet) []*SwitchRecord {
+// before send and completing them from responses, like a node would.
+func runSwitchTxns(t *testing.T, sw *pisa.Switch, env *sim.Env, l *Log, pkts []*txnwire.Packet) {
 	t.Helper()
-	recs := make([]*SwitchRecord, len(pkts))
 	i := 0
 	var next func()
 	next = func() {
@@ -42,20 +84,19 @@ func runSwitchTxns(t *testing.T, sw *pisa.Switch, env *sim.Env, l *Log, pkts []*
 			return
 		}
 		pkt := pkts[i]
-		recs[i] = l.AppendSwitchIntent(pkt.Header.TxnID, pkt.Instrs)
+		at := l.AppendSwitchIntent(pkt.Header.TxnID, pkt.Instrs)
 		sw.ExecK(pkt, func(resp *txnwire.Response, err error) {
 			if err != nil {
 				t.Errorf("ExecK: %v", err)
 				return
 			}
-			recs[i].Complete(resp)
+			l.Complete(at, resp)
 			i++
 			next()
 		})
 	}
 	next()
 	env.Run()
-	return recs
 }
 
 // execNoComplete runs one logged packet whose response the node never
@@ -86,7 +127,7 @@ func TestRecoverySimpleReplay(t *testing.T) {
 	// Crash and recover.
 	sw.Reset()
 	sw.Restore(baseline)
-	n, next, err := RecoverSwitch([]*Log{l}, freshSwitch(baseline), sw)
+	n, next, err := recoverSwitch([]*Log{l}, freshSwitch(baseline), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +169,7 @@ func TestRecoveryFigure9(t *testing.T) {
 	// Switch crashes; recover from both logs.
 	sw.Reset()
 	sw.Restore(baseline)
-	n, _, err := RecoverSwitch([]*Log{log1, log2}, freshSwitch(baseline), sw)
+	n, _, err := recoverSwitch([]*Log{log1, log2}, freshSwitch(baseline), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +206,7 @@ func TestRecoveryDependencyOrdersInFlight(t *testing.T) {
 	want := sw.Snapshot()
 	sw.Reset()
 	sw.Restore(baseline)
-	if _, _, err := RecoverSwitch([]*Log{logA, logB}, freshSwitch(baseline), sw); err != nil {
+	if _, _, err := recoverSwitch([]*Log{logA, logB}, freshSwitch(baseline), sw); err != nil {
 		t.Fatal(err)
 	}
 	got := sw.Snapshot()
@@ -182,7 +223,7 @@ func TestRecoveryNoDependencyAnyOrder(t *testing.T) {
 	l.AppendSwitchIntent(1, []txnwire.Instr{addInstr(0, 2)})
 	l.AppendSwitchIntent(2, []txnwire.Instr{addInstr(0, 3)})
 	sw := pisa.New(sim.NewEnv(0), swConfig())
-	n, _, err := RecoverSwitch([]*Log{l}, freshSwitch(baseline), sw)
+	n, _, err := recoverSwitch([]*Log{l}, freshSwitch(baseline), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +235,11 @@ func TestRecoveryNoDependencyAnyOrder(t *testing.T) {
 func TestRecoveryDetectsInconsistentLogs(t *testing.T) {
 	baseline := pisa.New(sim.NewEnv(0), swConfig()).Snapshot()
 	l := NewLog(0)
-	rec := l.AppendSwitchIntent(1, []txnwire.Instr{addInstr(0, 2)})
+	at := l.AppendSwitchIntent(1, []txnwire.Instr{addInstr(0, 2)})
 	// Forge an impossible result: x was 0, +2 cannot read 99.
-	rec.Complete(&txnwire.Response{GID: 0, Results: []txnwire.Result{{Value: 99, OK: true}}})
+	l.Complete(at, &txnwire.Response{GID: 0, Results: []txnwire.Result{{Value: 99, OK: true}}})
 	sw := pisa.New(sim.NewEnv(0), swConfig())
-	_, _, err := RecoverSwitch([]*Log{l}, freshSwitch(baseline), sw)
+	_, _, err := recoverSwitch([]*Log{l}, freshSwitch(baseline), sw)
 	if !errors.Is(err, ErrInconsistentLogs) {
 		t.Fatalf("err = %v, want ErrInconsistentLogs", err)
 	}
@@ -209,9 +250,9 @@ func TestRecoveryDuplicateGID(t *testing.T) {
 	l := NewLog(0)
 	r1 := l.AppendSwitchIntent(1, []txnwire.Instr{addInstr(0, 1)})
 	r2 := l.AppendSwitchIntent(2, []txnwire.Instr{addInstr(0, 1)})
-	r1.Complete(&txnwire.Response{GID: 0, Results: []txnwire.Result{{Value: 1, OK: true}}})
-	r2.Complete(&txnwire.Response{GID: 0, Results: []txnwire.Result{{Value: 2, OK: true}}})
-	if _, err := OrderSwitchRecords([]*Log{l}, freshSwitch(baseline)); err == nil {
+	l.Complete(r1, &txnwire.Response{GID: 0, Results: []txnwire.Result{{Value: 1, OK: true}}})
+	l.Complete(r2, &txnwire.Response{GID: 0, Results: []txnwire.Result{{Value: 2, OK: true}}})
+	if _, err := OrderRecords(switchRecords([]*Log{l}), freshSwitch(baseline)); err == nil {
 		t.Fatal("duplicate GID accepted")
 	}
 }
@@ -234,7 +275,11 @@ func TestRecoveryRandomizedCrashPoints(t *testing.T) {
 		baseline := sw.Snapshot()
 
 		logs := []*Log{NewLog(0), NewLog(1), NewLog(2)}
-		var recs []*SwitchRecord
+		type logged struct {
+			l  *Log
+			at Intent
+		}
+		var recs []logged
 		var resps []*txnwire.Response
 		var next func()
 		next = func() {
@@ -251,7 +296,7 @@ func TestRecoveryRandomizedCrashPoints(t *testing.T) {
 				}
 			}
 			l := logs[rng.Intn(len(logs))]
-			rec := l.AppendSwitchIntent(uint64(i), instrs)
+			rec := logged{l, l.AppendSwitchIntent(uint64(i), instrs)}
 			sw.ExecK(&txnwire.Packet{Instrs: instrs}, func(resp *txnwire.Response, err error) {
 				if err != nil {
 					t.Errorf("%v", err)
@@ -274,13 +319,13 @@ func TestRecoveryRandomizedCrashPoints(t *testing.T) {
 				lost++
 				continue // never Complete()d
 			}
-			recs[i].Complete(resps[i])
+			recs[i].l.Complete(recs[i].at, resps[i])
 		}
 
 		want := sw.Snapshot()
 		sw.Reset()
 		sw.Restore(baseline)
-		if _, _, err := RecoverSwitch(logs, freshSwitch(baseline), sw); err != nil {
+		if _, _, err := recoverSwitch(logs, freshSwitch(baseline), sw); err != nil {
 			t.Fatalf("trial %d (lost %d): %v", trial, lost, err)
 		}
 		got := sw.Snapshot()
@@ -299,7 +344,7 @@ func TestRecoverNodeRedo(t *testing.T) {
 	l.AppendCold(2, []ColdWrite{{Table: 1, Key: 5, Field: 0, Value: 43}, {Table: 1, Key: 6, Field: 0, Value: 7}})
 	st := store.New()
 	st.CreateTable(1, "t", 1)
-	if n := RecoverNode(l, st); n != 2 {
+	if n := redoNode(l, st); n != 2 {
 		t.Fatalf("recovered %d records, want 2", n)
 	}
 	if st.Table(1).Get(5, 0) != 43 || st.Table(1).Get(6, 0) != 7 {
